@@ -47,10 +47,12 @@ int main() {
     bob.SetDifferenceEstimate(1000);
     std::unordered_set<uint64_t> truth(pair.truth_diff.begin(),
                                        pair.truth_diff.end());
+    std::vector<uint8_t> request, reply;
     bool finished = false;
     for (int round = 1; round <= 4 && !finished; ++round) {
-      finished = alice.HandleRoundReply(
-          bob.HandleRoundRequest(alice.MakeRoundRequest()));
+      alice.MakeRoundRequest(&request);
+      bob.HandleRoundRequest(request, &reply);
+      finished = alice.HandleRoundReply(reply);
       size_t correct = 0;
       for (uint64_t e : alice.Difference()) {
         if (truth.count(e)) ++correct;

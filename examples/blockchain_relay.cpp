@@ -4,8 +4,9 @@
 // A small peer-to-peer network gossips transactions. Instead of flooding
 // full inventories, each peer pair periodically runs PBS over the 32-bit
 // short IDs of their mempools and transfers only the missing transactions.
-// The demo measures the bandwidth of PBS reconciliation against the naive
-// "send every ID" protocol.
+// Each pair runs a loopback session (core/wire_session.h), so the ToW
+// estimate exchange is part of the measured bandwidth. The demo compares
+// it against the naive "send every ID" protocol.
 
 #include <cstdio>
 #include <unordered_map>
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "pbs/common/rng.h"
-#include "pbs/core/reconciler.h"
+#include "pbs/core/wire_session.h"
 #include "pbs/hash/xxhash64.h"
 
 namespace {
@@ -72,15 +73,18 @@ int main() {
   // One gossip sweep: every (i, j) pair reconciles; the numerically lower
   // peer plays Alice and pulls what it misses, then pushes its own extras.
   size_t pbs_bytes = 0, naive_bytes = 0, payload_bytes = 0;
-  pbs::PbsConfig config;
-  config.max_rounds = 5;
+  pbs::SessionConfig config;
+  config.scheme_name = "pbs";
+  config.options.pbs.max_rounds = 5;
   for (int i = 0; i < kPeers; ++i) {
     for (int j = i + 1; j < kPeers; ++j) {
       const auto ids_i = peers[i].ShortIds();
       const auto ids_j = peers[j].ShortIds();
-      auto result = pbs::PbsSession::Reconcile(
-          ids_i, ids_j, config, 0x9A5 + i * 16 + j);
-      if (!result.success) {
+      config.seed = 0x9A5 + i * 16 + j;
+      const pbs::SessionResult session =
+          pbs::RunLoopbackSession(config, ids_i, ids_j);
+      const pbs::ReconcileOutcome& result = session.outcome;
+      if (!session.ok || !result.success) {
         std::printf("pair (%d,%d): reconciliation failed!\n", i, j);
         continue;
       }

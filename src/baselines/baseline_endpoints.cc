@@ -1,14 +1,14 @@
-// Wire-session engines for the baseline schemes (docs/WIRE_FORMAT.md).
+// Protocol engines for the baseline schemes (docs/WIRE_FORMAT.md). They are
+// the only implementation of each scheme: SetReconciler::Reconcile() pumps
+// them in memory, the session layer over a transport.
 //
-// Each engine realizes the *same* algorithm as the corresponding in-memory
-// free function, split at the protocol's natural message boundary, using
-// the same primitives, seeds, and processing order — so a session recovers
-// a difference identical to the in-memory call (pinned by
-// tests/core/wire_session_test.cc). One-shot schemes (PinSketch, D.Digest,
-// Graphene) are a single exchange: the initiator ships its sizing
-// parameter, the responder ships its sketch/filter, the initiator decodes.
-// PinSketch/WP is the genuinely interactive one and mirrors the PBS round
-// structure (settled bits, three-way splits) at PinSketch field widths.
+// One-shot schemes (PinSketch, D.Digest, Graphene) are a single exchange:
+// the initiator ships its sizing parameter, the responder ships its
+// sketch/filter, the initiator decodes. PinSketch/WP is the genuinely
+// interactive one and mirrors the PBS round structure (settled bits,
+// three-way splits) at PinSketch field widths. data_bytes is the paper's
+// accounting (Sections 7-8), which for PinSketch/WP is a packed bit count
+// rather than the payload size.
 
 #include <algorithm>
 #include <chrono>
@@ -45,7 +45,8 @@ std::string Summary(const char* format, int value) {
   return buf;
 }
 
-// D.Digest sizing shared by both sides (mirrors DDigestReconcile).
+// D.Digest sizing shared by both sides: 2 d-hat cells, 3 hashes when
+// d-hat > 200 and 4 otherwise (the configuration guideline of [15]).
 size_t DDigestCells(int d_est) { return static_cast<size_t>(2) * d_est; }
 int DDigestHashes(int d_est) { return d_est > 200 ? 3 : 4; }
 
@@ -66,10 +67,10 @@ class PinSketchInitiator : public ReconcileInitiator {
         sig_bits_(sig_bits),
         t_(std::max(1, InflateEstimate(d_hat, gamma))) {}
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequestInto(std::vector<uint8_t>* out) override {
     BitWriter w;
     w.WriteBits(static_cast<uint32_t>(t_), 32);
-    return w.TakeBytes();
+    *out = w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
@@ -118,18 +119,23 @@ class PinSketchResponder : public ReconcileResponder {
     BitReader r(request);
     const int t = static_cast<int>(r.ReadBits(32));
     if (r.overflowed() || t < 1 || t > kMaxWireDifference) return false;
+    const auto start = Clock::now();
     const GF2m field(sig_bits_);
     PowerSumSketch sketch(field, t);
     for (uint64_t e : elements_) sketch.Toggle(e);
     BitWriter w;
     sketch.Serialize(&w);
     *reply = w.TakeBytes();
+    seconds_.encode += Seconds(start, Clock::now());
     return true;
   }
+
+  EngineSeconds seconds() const override { return seconds_; }
 
  private:
   std::vector<uint64_t> elements_;
   int sig_bits_;
+  EngineSeconds seconds_;
 };
 
 // --------------------------------------------------------------- ddigest --
@@ -144,10 +150,10 @@ class DDigestInitiator : public ReconcileInitiator {
         d_est_(std::max(
             1, std::max(0, static_cast<int>(std::llround(d_hat))))) {}
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequestInto(std::vector<uint8_t>* out) override {
     BitWriter w;
     w.WriteBits(static_cast<uint32_t>(d_est_), 32);
-    return w.TakeBytes();
+    *out = w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
@@ -203,19 +209,24 @@ class DDigestResponder : public ReconcileResponder {
     if (r.overflowed() || d_est < 1 || d_est > kMaxWireDifference) {
       return false;
     }
+    const auto start = Clock::now();
     InvertibleBloomFilter ibf(DDigestCells(d_est), DDigestHashes(d_est),
                               seed_, sig_bits_);
     for (uint64_t e : elements_) ibf.Insert(e);
     BitWriter w;
     ibf.Serialize(&w);
     *reply = w.TakeBytes();
+    seconds_.encode += Seconds(start, Clock::now());
     return true;
   }
+
+  EngineSeconds seconds() const override { return seconds_; }
 
  private:
   std::vector<uint64_t> elements_;
   uint64_t seed_;
   int sig_bits_;
+  EngineSeconds seconds_;
 };
 
 // -------------------------------------------------------------- graphene --
@@ -229,10 +240,10 @@ class GrapheneInitiator : public ReconcileInitiator {
         sig_bits_(sig_bits),
         d_est_(std::max(InflateEstimate(d_hat, gamma), 1)) {}
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequestInto(std::vector<uint8_t>* out) override {
     BitWriter w;
     w.WriteBits(static_cast<uint32_t>(d_est_), 32);
-    return w.TakeBytes();
+    *out = w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
@@ -265,7 +276,7 @@ class GrapheneInitiator : public ReconcileInitiator {
     const size_t wire_accounted_bytes =
         (use_bf ? bf.byte_size() : 0) + bob_ibf.byte_size() + 8;
 
-    // Candidate set Z and IBF(Z), exactly as GrapheneReconcile.
+    // Candidate set Z (a superset of A n B) and IBF(Z).
     const auto encode_start = Clock::now();
     std::vector<uint64_t> z;
     z.reserve(elements_.size());
@@ -295,8 +306,8 @@ class GrapheneInitiator : public ReconcileInitiator {
     outcome_.difference.insert(outcome_.difference.end(),
                                decoded.positive.begin(),
                                decoded.positive.end());
-    // Same accounting as the in-memory path: BF + IBF + the 8-byte
-    // geometry surcharge the paper credits Graphene.
+    // Paper accounting: BF + IBF + the 8-byte geometry surcharge the
+    // paper credits Graphene.
     outcome_.data_bytes = wire_accounted_bytes;
     outcome_.params_summary = Summary("d_est=%d", d_est_);
     done_ = true;
@@ -328,6 +339,7 @@ class GrapheneResponder : public ReconcileResponder {
     if (r.overflowed() || d_est < 1 || d_est > kMaxWireDifference) {
       return false;
     }
+    const auto start = Clock::now();
     const GrapheneConfig config;
     const GraphenePlan plan =
         GrapheneChoosePlan(d_est, elements_.size(), sig_bits_, config);
@@ -353,23 +365,35 @@ class GrapheneResponder : public ReconcileResponder {
     w.AlignToByte();
     ibf.Serialize(&w);
     *reply = w.TakeBytes();
+    seconds_.encode += Seconds(start, Clock::now());
     return true;
   }
+
+  EngineSeconds seconds() const override { return seconds_; }
 
  private:
   std::vector<uint64_t> elements_;
   uint64_t seed_;
   int sig_bits_;
+  EngineSeconds seconds_;
 };
 
 // ---------------------------------------------------------- pinsketch/wp --
 
-// True two-endpoint realization of PinSketchWpReconcile. Canonical unit
-// order evolves identically on both sides: settled units are dropped (the
-// initiator announces settlement bits at the head of the next round's
-// request), decode-failed units are replaced in place by their three
-// children, survivors stay put — the Section 3.2/3.3 discipline at
-// PinSketch field widths.
+// Partitioned PinSketch (Section 8.3): g = ceil(d_used / delta) groups,
+// each reconciled by a capacity-t PinSketch, t taken from the PBS plan.
+// Canonical unit order evolves identically on both sides: settled units
+// are dropped (the initiator announces settlement bits at the head of the
+// next round's request), decode-failed units are replaced in place by
+// their three children, survivors stay put -- the Section 3.2/3.3
+// discipline at PinSketch field widths.
+//
+// data_bytes is the paper's packed accounting at signature width w
+// (report_sig_bits if set, else sig_bits; Appendix J.3): each sketched
+// unit costs t*w + 1 bits (its syndromes and Bob's ok/fail flag), each
+// decoded unit count_bits + count*w + w (the recovered elements and Bob's
+// checksum). The total is rounded up to bytes once, at the end; the
+// (g, t) header, settled bits and byte padding are not counted.
 class PinSketchWpInitiator : public ReconcileInitiator {
  public:
   PinSketchWpInitiator(std::vector<uint64_t> elements, double d_hat,
@@ -378,7 +402,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
       : field_(config.sig_bits),
         family_(seed),
         config_(config),
-        report_sig_bits_(report_sig_bits),
+        width_(report_sig_bits > 0 ? report_sig_bits : config.sig_bits),
         mask_(SetChecksum::MaskFor(config.sig_bits)),
         d_used_(InflateEstimate(d_hat, config.gamma)) {
     const PbsPlan plan = PlanFor(config_, d_used_);
@@ -398,8 +422,9 @@ class PinSketchWpInitiator : public ReconcileInitiator {
     }
   }
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequestInto(std::vector<uint8_t>* out) override {
     ++round_;
+    const auto start = Clock::now();
     BitWriter w;
     if (round_ == 1) {
       w.WriteBits(g_, 32);
@@ -413,15 +438,15 @@ class PinSketchWpInitiator : public ReconcileInitiator {
       PowerSumSketch sketch(field_, t_);
       for (uint64_t e : unit.working) sketch.Toggle(e);
       sketch.Serialize(&w);
-      sig_fields_ += static_cast<size_t>(t_);  // t syndromes per unit.
+      accounted_bits_ += static_cast<size_t>(t_) * width_ + 1;
     }
-    request_bytes_ = w.byte_size();
-    return w.TakeBytes();
+    *out = w.TakeBytes();
+    seconds_.encode += Seconds(start, Clock::now());
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
+    const auto start = Clock::now();
     BitReader r(reply);
-    data_bytes_ += request_bytes_ + reply.size();
     std::vector<Unit> next_units;
     for (Unit& unit : units_) {
       const bool failed = r.ReadBit();
@@ -443,7 +468,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
       }
       const uint64_t count = r.ReadBits(count_bits_);
       if (count > static_cast<uint64_t>(t_)) return false;
-      sig_fields_ += count + 1;  // Recovered elements + Bob's checksum.
+      accounted_bits_ += count_bits_ + (count + 1) * width_;
       for (uint64_t i = 0; i < count; ++i) {
         const uint64_t s = r.ReadBits(config_.sig_bits);
         if (s == 0) continue;
@@ -460,6 +485,8 @@ class PinSketchWpInitiator : public ReconcileInitiator {
       }
     }
     if (r.overflowed()) return false;
+    // Stop the clock before the settled units' working sets are freed.
+    seconds_.decode += Seconds(start, Clock::now());
     units_ = std::move(next_units);
     if (units_.empty() || round_ >= config_.max_rounds) done_ = true;
     return true;
@@ -472,14 +499,9 @@ class PinSketchWpInitiator : public ReconcileInitiator {
     outcome.success = units_.empty();
     outcome.rounds = round_;
     outcome.difference.assign(diff_.begin(), diff_.end());
-    outcome.data_bytes = data_bytes_;
-    if (report_sig_bits_ > config_.sig_bits) {
-      // Appendix J.3: the monolith accounts every signature-width field
-      // (syndromes, recovered elements, checksums) at report_sig_bits.
-      outcome.data_bytes += sig_fields_ *
-                            static_cast<size_t>(report_sig_bits_ -
-                                                config_.sig_bits) / 8;
-    }
+    outcome.data_bytes = (accounted_bits_ + 7) / 8;
+    outcome.encode_seconds = seconds_.encode;
+    outcome.decode_seconds = seconds_.decode;
     char summary[64];
     std::snprintf(summary, sizeof(summary), "g=%u t=%d delta=%d d_used=%d",
                   g_, t_, config_.delta, d_used_);
@@ -512,7 +534,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
   GF2m field_;
   HashFamily family_;
   PbsConfig config_;
-  int report_sig_bits_ = 0;
+  size_t width_;  // Accounted signature width w.
   uint64_t mask_;
   int d_used_;
   int t_ = 1;
@@ -521,9 +543,8 @@ class PinSketchWpInitiator : public ReconcileInitiator {
   std::vector<Unit> units_;
   std::vector<bool> settled_bits_;
   std::unordered_set<uint64_t> diff_;
-  size_t request_bytes_ = 0;
-  size_t data_bytes_ = 0;
-  size_t sig_fields_ = 0;
+  size_t accounted_bits_ = 0;
+  EngineSeconds seconds_;
   int round_ = 0;
   bool done_ = false;
 };
@@ -589,10 +610,14 @@ class PinSketchWpResponder : public ReconcileResponder {
       PowerSumSketch alice_sketch =
           PowerSumSketch::Deserialize(&r, field_, t_);
       if (r.overflowed()) return false;
+      const auto encode_start = Clock::now();
       PowerSumSketch merged(field_, t_);
       for (uint64_t e : unit.elements) merged.Toggle(e);
       merged.Merge(alice_sketch);
+      const auto decode_start = Clock::now();
       auto decoded = merged.Decode(/*verify=*/true, seed_ ^ unit.core.key);
+      seconds_.encode += Seconds(encode_start, decode_start);
+      seconds_.decode += Seconds(decode_start, Clock::now());
       if (!decoded.has_value()) {
         w.WriteBit(true);  // Decode failed; both sides split.
         const uint64_t salt = unit.core.SplitSalt(family_);
@@ -621,6 +646,8 @@ class PinSketchWpResponder : public ReconcileResponder {
     return true;
   }
 
+  EngineSeconds seconds() const override { return seconds_; }
+
  private:
   struct Unit {
     UnitCore core;
@@ -640,6 +667,7 @@ class PinSketchWpResponder : public ReconcileResponder {
   int count_bits_ = 1;
   bool first_ = true;
   std::vector<Unit> units_;
+  EngineSeconds seconds_;
 };
 
 }  // namespace

@@ -18,11 +18,11 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
 }
 }  // namespace
 
-BaselineOutcome RecursiveCpiReconcile(const std::vector<uint64_t>& a,
-                                      const std::vector<uint64_t>& b,
-                                      int t_bar, int sig_bits, int max_rounds,
-                                      uint64_t seed) {
-  BaselineOutcome out;
+ReconcileOutcome RecursiveCpiReconcile(const std::vector<uint64_t>& a,
+                                       const std::vector<uint64_t>& b,
+                                       int t_bar, int sig_bits,
+                                       int max_rounds, uint64_t seed) {
+  ReconcileOutcome out;
   t_bar = std::max(t_bar, 1);
   const GF2m field(sig_bits);
   const SaltedHash prefix_hash(HashFamily(seed).Salt(HashFamily::kSplitPartition));

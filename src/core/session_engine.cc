@@ -1096,7 +1096,7 @@ void SessionEngine::DispatchResponder() {
   }
   switch (frame_.type) {
     case FrameType::kEstimateRequest:
-      HandleEstimateRequest();
+      ReplyToEstimateRequest();
       return;
     case FrameType::kSchemeRequest:
       HandleSchemeRequest();
@@ -1327,7 +1327,7 @@ void SessionEngine::HandleDigestTree() {
                  "sending DIGEST_REPLY");
 }
 
-void SessionEngine::HandleEstimateRequest() {
+void SessionEngine::ReplyToEstimateRequest() {
   BitReader r(frame_.payload);
   const uint64_t remote_size = r.ReadBits(64);
   // remote_size sets the per-counter width ceil(log2(2n+1)); cap it so a

@@ -1,8 +1,32 @@
 #include "pbs/core/set_reconciler.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace pbs {
+
+ReconcileOutcome SetReconciler::Reconcile(const std::vector<uint64_t>& a,
+                                          const std::vector<uint64_t>& b,
+                                          double d_hat, uint64_t seed) const {
+  const std::unique_ptr<ReconcileInitiator> initiator =
+      CreateInitiator(a, d_hat, seed);
+  const std::unique_ptr<ReconcileResponder> responder =
+      CreateResponder(b, d_hat, seed);
+  if (initiator == nullptr || responder == nullptr) return {};
+  std::vector<uint8_t> request, reply;  // Reused across the rounds.
+  while (!initiator->done()) {
+    initiator->NextRequestInto(&request);
+    if (!responder->HandleRequest(request, &reply) ||
+        !initiator->HandleReply(reply)) {
+      return {};
+    }
+  }
+  ReconcileOutcome outcome = initiator->TakeOutcome();
+  const EngineSeconds responder_seconds = responder->seconds();
+  outcome.encode_seconds += responder_seconds.encode;
+  outcome.decode_seconds += responder_seconds.decode;
+  return outcome;
+}
 
 SchemeRegistry& SchemeRegistry::Instance() {
   static SchemeRegistry* registry = [] {

@@ -18,17 +18,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "pbs/baselines/pinsketch.h"  // BaselineOutcome.
+#include "pbs/core/set_reconciler.h"  // ReconcileOutcome.
 
 namespace pbs {
 
 /// Reconciles a and b by recursive bisection with per-partition capacity
 /// `t_bar` (the paper's small constant; 5 matches PBS's delta).
 /// `max_rounds` caps the recursion depth in rounds.
-BaselineOutcome RecursiveCpiReconcile(const std::vector<uint64_t>& a,
-                                      const std::vector<uint64_t>& b,
-                                      int t_bar, int sig_bits, int max_rounds,
-                                      uint64_t seed);
+ReconcileOutcome RecursiveCpiReconcile(const std::vector<uint64_t>& a,
+                                       const std::vector<uint64_t>& b,
+                                       int t_bar, int sig_bits,
+                                       int max_rounds, uint64_t seed);
 
 }  // namespace pbs
 

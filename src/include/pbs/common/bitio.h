@@ -5,8 +5,8 @@
 // bin indices are m bits, signatures are log|U| bits. To measure the
 // communication overhead the paper reports (e.g., formula (1) in Section 3.1)
 // the implementation packs every message tightly with BitWriter and unpacks
-// it with BitReader; the byte counts recorded in a Transcript are the sizes
-// of these packed buffers.
+// it with BitReader; the data_bytes a scheme reports are the sizes of these
+// packed buffers.
 
 #ifndef PBS_COMMON_BITIO_H_
 #define PBS_COMMON_BITIO_H_

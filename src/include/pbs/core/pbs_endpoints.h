@@ -1,18 +1,18 @@
 // The two PBS protocol endpoints.
 //
 // Alice initiates and ultimately learns A /\triangle B; Bob answers. The
-// endpoints exchange opaque byte buffers, so callers can run them over any
-// transport (the in-memory PbsSession in reconciler.h, or a real socket as
-// in examples/). Message flow per Sections 2-3:
+// endpoints exchange opaque byte buffers; PbsReconciler
+// (core/pbs_reconciler.h) wraps them in the initiator/responder engines
+// that SetReconciler::Reconcile() pumps in memory and the session layer
+// runs over a transport. Message flow per Sections 2-3:
 //
 //   Alice                       Bob
-//   MakeEstimateRequest  ---->  HandleEstimateRequest
-//   HandleEstimateReply  <----        (ToW estimate, d_used = gamma*d-hat)
+//   SetDifferenceEstimate       SetDifferenceEstimate   (same d_used)
 //   MakeRoundRequest     ---->  HandleRoundRequest      \  repeated until
 //   HandleRoundReply     <----                          /  all units settle
 //
-// If d is known a priori (the Sections 2-5 setting), call
-// SetDifferenceEstimate on both endpoints and skip the estimate exchange.
+// The difference estimate itself (ToW, Section 6) is exchanged by the
+// session layer (core/session_engine.h), not by the endpoints.
 
 #ifndef PBS_CORE_PBS_ENDPOINTS_H_
 #define PBS_CORE_PBS_ENDPOINTS_H_
@@ -55,19 +55,14 @@ class PbsAlice {
            uint64_t seed);
   ~PbsAlice();
 
-  /// Estimation phase (optional; Section 6.2).
-  std::vector<uint8_t> MakeEstimateRequest();
-  void HandleEstimateReply(const std::vector<uint8_t>& reply);
-
-  /// Skips estimation: size the plan for `d_used` expected differences.
+  /// Sizes the plan for `d_used` expected differences (the inflated
+  /// estimate; Bob must be given the same value).
   void SetDifferenceEstimate(int d_used);
 
-  /// Builds the round-k request (advances the round counter).
-  std::vector<uint8_t> MakeRoundRequest();
-
-  /// Buffer-reusing form: writes the request into `*out` (cleared first).
-  /// With a caller-reused `out`, steady-state round encoding performs no
-  /// heap allocation (tests/core/hotpath_alloc_test.cc).
+  /// Writes the round-k request into `*out` (cleared first) and advances
+  /// the round counter. With a caller-reused `out`, steady-state round
+  /// encoding performs no heap allocation
+  /// (tests/core/hotpath_alloc_test.cc).
   void MakeRoundRequest(std::vector<uint8_t>* out);
 
   /// Consumes Bob's reply; returns true when every unit has settled.
@@ -122,14 +117,11 @@ class PbsBob {
          uint64_t seed);
   ~PbsBob();
 
-  std::vector<uint8_t> HandleEstimateRequest(
-      const std::vector<uint8_t>& request);
+  /// Sizes the plan for `d_used` expected differences (Alice's value).
   void SetDifferenceEstimate(int d_used);
 
-  std::vector<uint8_t> HandleRoundRequest(const std::vector<uint8_t>& request);
-
-  /// Buffer-reusing form: writes the reply into `*reply` (cleared first);
-  /// see PbsAlice::MakeRoundRequest(std::vector<uint8_t>*).
+  /// Writes the reply to one round request into `*reply` (cleared first);
+  /// allocation-free in steady state, like PbsAlice::MakeRoundRequest.
   void HandleRoundRequest(const std::vector<uint8_t>& request,
                           std::vector<uint8_t>* reply);
 

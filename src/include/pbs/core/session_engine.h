@@ -280,7 +280,7 @@ class SessionEngine {
   void DispatchInitiator();
   void DispatchResponder();
   void HandleHello();
-  void HandleEstimateRequest();
+  void ReplyToEstimateRequest();
   void HandleSchemeRequest();
   void HandleUpdate();
   void StartShardedInitiator();

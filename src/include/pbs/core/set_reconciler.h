@@ -28,18 +28,21 @@ namespace pbs {
 
 struct StoreSnapshot;
 
-/// Unified outcome of one reconciliation, merging what used to be
-/// core/PbsResult and baselines/BaselineOutcome.
+/// Outcome of one reconciliation, whether run in memory by
+/// SetReconciler::Reconcile() or over the wire by core/wire_session.h.
 struct ReconcileOutcome {
   bool success = false;          ///< Protocol settled within its round cap.
   int rounds = 1;                ///< Message rounds actually executed.
   std::vector<uint64_t> difference;  ///< Recovered A /\triangle B.
   size_t data_bytes = 0;         ///< Protocol bytes (excl. estimator).
-  size_t estimator_bytes = 0;    ///< Estimate exchange bytes, if the scheme
-                                 ///< ran one itself (usually 0: the caller
-                                 ///< owns estimation, see header comment).
-  double encode_seconds = 0.0;   ///< Sketch/filter construction time.
-  double decode_seconds = 0.0;   ///< Decode/peel/recovery time.
+  size_t estimator_bytes = 0;    ///< Estimate exchange bytes, filled by the
+                                 ///< session layer (0 from Reconcile(): the
+                                 ///< caller owns estimation, see header
+                                 ///< comment).
+  double encode_seconds = 0.0;   ///< Sketch/filter construction time
+                                 ///< (both parties in Reconcile()).
+  double decode_seconds = 0.0;   ///< Decode/peel/recovery time (both
+                                 ///< parties in Reconcile()).
   std::string params_summary;    ///< Human-readable parameterization, e.g.
                                  ///< "g=20 n=127 t=8" or "t=138".
   /// Framed bytes actually moved by the session layer (handshake, estimate
@@ -75,26 +78,20 @@ struct SchemeOptions {
 /// it across a ByteTransport, so endpoint implementations never see
 /// framing or sockets.
 ///
-/// Call sequence: while !done(): NextRequest() -> (peer) -> HandleReply().
-/// After done(), TakeOutcome() yields the same ReconcileOutcome the
-/// scheme's in-memory Reconcile() would have produced for the same inputs,
-/// estimate, and seed (the wire_session parity tests pin this).
+/// Call sequence: while !done(): NextRequestInto() -> (peer) ->
+/// HandleReply(). After done(), TakeOutcome() yields the outcome, including
+/// the scheme's paper accounting in data_bytes. SetReconciler::Reconcile()
+/// runs exactly this loop in memory, so a wire session and an in-memory
+/// call are the same protocol run.
 class ReconcileInitiator {
  public:
   virtual ~ReconcileInitiator() = default;
 
-  /// Builds the next request payload. Precondition: !done(). Advances the
-  /// scheme's round state.
-  virtual std::vector<uint8_t> NextRequest() = 0;
-
-  /// Buffer-reusing variant of NextRequest(): overwrites `*out` with the
-  /// next request payload. The default wraps NextRequest(); multi-round
-  /// schemes override it to reuse `out`'s capacity, which is what keeps
-  /// steady-state SessionEngine rounds allocation-free
-  /// (tests/core/hotpath_alloc_test.cc).
-  virtual void NextRequestInto(std::vector<uint8_t>* out) {
-    *out = NextRequest();
-  }
+  /// Overwrites `*out` with the next request payload. Precondition:
+  /// !done(). Advances the scheme's round state. Multi-round schemes reuse
+  /// `out`'s capacity, which is what keeps steady-state SessionEngine
+  /// rounds allocation-free (tests/core/hotpath_alloc_test.cc).
+  virtual void NextRequestInto(std::vector<uint8_t>* out) = 0;
 
   /// Consumes the responder's reply to the last request. Returns false on
   /// a malformed reply (the session is then aborted with a wire error).
@@ -108,6 +105,13 @@ class ReconcileInitiator {
   virtual ReconcileOutcome TakeOutcome() = 0;
 };
 
+/// Wall-clock seconds one protocol engine spent building sketches or
+/// filters (encode) and recovering differences from them (decode).
+struct EngineSeconds {
+  double encode = 0.0;
+  double decode = 0.0;
+};
+
 /// The responding side (the paper's Bob): a pure request -> reply state
 /// machine. The responder learns protocol parameters from the first
 /// request payload and needs no outcome of its own.
@@ -119,14 +123,20 @@ class ReconcileResponder {
   /// malformed request (the session is then aborted with a wire error).
   virtual bool HandleRequest(const std::vector<uint8_t>& request,
                              std::vector<uint8_t>* reply) = 0;
+
+  /// This side's cumulative encode/decode time. Reconcile() adds it to the
+  /// initiator's, so an in-memory outcome times both parties.
+  virtual EngineSeconds seconds() const { return {}; }
 };
 
 /// Interface implemented by every reconciliation scheme.
 ///
-/// Implementations must be stateless after construction: Reconcile() is
-/// const and may be called concurrently from the runner's worker threads.
-/// CreateInitiator()/CreateResponder() mint fresh per-session state, so a
-/// single SetReconciler can serve many concurrent wire sessions.
+/// A scheme is its pair of protocol engines: CreateInitiator() and
+/// CreateResponder() mint fresh per-session state, so a single
+/// SetReconciler can serve many concurrent wire sessions, and Reconcile()
+/// pumps the same two engines in memory. Implementations must be
+/// stateless after construction: Reconcile() is const and may be called
+/// concurrently from the runner's worker threads.
 class SetReconciler {
  public:
   virtual ~SetReconciler() = default;
@@ -147,16 +157,21 @@ class SetReconciler {
   /// estimate otherwise). Each scheme applies its own rounding/inflation
   /// policy to d_hat. `seed` drives every random choice, so equal inputs
   /// give bit-identical outcomes.
-  virtual ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
-                                     const std::vector<uint64_t>& b,
-                                     double d_hat, uint64_t seed) const = 0;
+  ///
+  /// Runs the scheme's own initiator over `a` and responder over `b`,
+  /// passing payloads between them in memory until the initiator is done:
+  /// a wire session without frames, HELLO or estimate phase. Returns a
+  /// failed outcome if the scheme has no engines or either side rejects a
+  /// message.
+  ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
+                             const std::vector<uint64_t>& b, double d_hat,
+                             uint64_t seed) const;
 
-  /// Mints the initiator-side engine for one wire session over `elements`
-  /// (the initiator's set A). `d_hat` and `seed` have exactly the
-  /// Reconcile() semantics — the scheme applies the same inflation policy
-  /// and derives the same random choices, so a session and an in-memory
-  /// call recover identical differences. Returns nullptr if the scheme
-  /// has no wire protocol (the session driver then reports an error).
+  /// Mints the initiator-side engine for one session over `elements` (the
+  /// initiator's set A). The scheme applies its inflation policy to
+  /// `d_hat` and derives every random choice from `seed`. Returns nullptr
+  /// if the scheme has no protocol (the session driver then reports an
+  /// error).
   virtual std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> /*elements*/, double /*d_hat*/,
       uint64_t /*seed*/) const {

@@ -1,10 +1,11 @@
-#include "pbs/baselines/ddigest.h"
+// Difference Digest [15] through the scheme registry (Sections 7, 8.1).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -17,7 +18,7 @@ bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
 
 TEST(DDigest, IdenticalSets) {
   SetPair pair = GenerateSetPair(2000, 0, 32, 1);
-  auto out = DDigestReconcile(pair.a, pair.b, 1, 32, 1);
+  auto out = ReconcileSized("ddigest", pair, {}, 1, 1);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(out.difference.empty());
 }
@@ -31,7 +32,7 @@ TEST_P(DDigestSweep, UsuallyRecoversAtPaperSizing) {
   for (int trial = 0; trial < kTrials; ++trial) {
     SetPair pair =
         GenerateSetPair(std::max(2000, 3 * d), d, 32, 100 * d + trial);
-    auto out = DDigestReconcile(pair.a, pair.b, d, 32, trial);
+    auto out = ReconcileSized("ddigest", pair, {}, trial, d);
     if (out.success && Matches(out.difference, pair.truth_diff)) ++ok;
   }
   EXPECT_GE(ok, 8) << "d=" << d;
@@ -43,20 +44,20 @@ INSTANTIATE_TEST_SUITE_P(Ds, DDigestSweep,
 TEST(DDigest, WireSizeRoughlySixTimesMinimum) {
   const int d = 100;
   SetPair pair = GenerateSetPair(2000, d, 32, 3);
-  auto out = DDigestReconcile(pair.a, pair.b, d, 32, 3);
+  auto out = ReconcileSized("ddigest", pair, {}, 3, d);
   const double ratio = static_cast<double>(out.data_bytes) / (d * 4.0);
   EXPECT_NEAR(ratio, 6.0, 0.3);
 }
 
 TEST(DDigest, UndersizedFilterFailsHonestly) {
   SetPair pair = GenerateSetPair(3000, 200, 32, 5);
-  auto out = DDigestReconcile(pair.a, pair.b, 20, 32, 5);
+  auto out = ReconcileSized("ddigest", pair, {}, 5, 20);
   EXPECT_FALSE(out.success);
 }
 
 TEST(DDigest, TwoSidedDifference) {
   SetPair pair = GenerateTwoSidedPair(2000, 15, 10, 32, 7);
-  auto out = DDigestReconcile(pair.a, pair.b, 25, 32, 7);
+  auto out = ReconcileSized("ddigest", pair, {}, 7, 25);
   ASSERT_TRUE(out.success);
   EXPECT_TRUE(Matches(out.difference, pair.truth_diff));
 }

@@ -1,4 +1,4 @@
-#include "pbs/baselines/pinsketch.h"
+// PinSketch [13] through the scheme registry (Sections 7, 8.1).
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -18,7 +19,7 @@ bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
 
 TEST(PinSketch, IdenticalSets) {
   SetPair pair = GenerateSetPair(2000, 0, 32, 1);
-  auto out = PinSketchReconcile(pair.a, pair.b, 5, 32, 1);
+  auto out = ReconcileSized("pinsketch", pair, {}, 1, 5);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(out.difference.empty());
 }
@@ -29,7 +30,7 @@ TEST_P(PinSketchSweep, ExactRecoveryWithinCapacity) {
   const int d = GetParam();
   SetPair pair = GenerateSetPair(std::max(2000, 3 * d), d, 32, 10 + d);
   const int t = static_cast<int>(std::ceil(1.38 * d));
-  auto out = PinSketchReconcile(pair.a, pair.b, t, 32, d);
+  auto out = ReconcileSized("pinsketch", pair, {}, d, t);
   ASSERT_TRUE(out.success);
   EXPECT_TRUE(Matches(out.difference, pair.truth_diff));
 }
@@ -39,13 +40,13 @@ INSTANTIATE_TEST_SUITE_P(Ds, PinSketchSweep,
 
 TEST(PinSketch, WireSizeIsTLogU) {
   SetPair pair = GenerateSetPair(1000, 10, 32, 3);
-  auto out = PinSketchReconcile(pair.a, pair.b, 14, 32, 3);
+  auto out = ReconcileSized("pinsketch", pair, {}, 3, 14);
   EXPECT_EQ(out.data_bytes, 14u * 32 / 8);
 }
 
 TEST(PinSketch, OverCapacityDetected) {
   SetPair pair = GenerateSetPair(2000, 40, 32, 5);
-  auto out = PinSketchReconcile(pair.a, pair.b, 10, 32, 5);
+  auto out = ReconcileSized("pinsketch", pair, {}, 5, 10);
   EXPECT_FALSE(out.success);
 }
 
@@ -54,7 +55,7 @@ TEST(PinSketch, CommunicationNearOptimal) {
   const int d = 100;
   SetPair pair = GenerateSetPair(5000, d, 32, 7);
   const int t = static_cast<int>(std::ceil(1.38 * d));
-  auto out = PinSketchReconcile(pair.a, pair.b, t, 32, 7);
+  auto out = ReconcileSized("pinsketch", pair, {}, 7, t);
   ASSERT_TRUE(out.success);
   const double ratio = static_cast<double>(out.data_bytes) / (d * 4.0);
   EXPECT_NEAR(ratio, 1.38, 0.02);
@@ -62,7 +63,7 @@ TEST(PinSketch, CommunicationNearOptimal) {
 
 TEST(PinSketch, TwoSidedDifference) {
   SetPair pair = GenerateTwoSidedPair(1500, 12, 9, 32, 9);
-  auto out = PinSketchReconcile(pair.a, pair.b, 30, 32, 9);
+  auto out = ReconcileSized("pinsketch", pair, {}, 9, 30);
   ASSERT_TRUE(out.success);
   EXPECT_TRUE(Matches(out.difference, pair.truth_diff));
 }

@@ -1,9 +1,10 @@
-#include "pbs/baselines/pinsketch_wp.h"
+// PinSketch/WP (Section 8.3) through the scheme registry.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "pbs/core/set_reconciler.h"
 #include "pbs/sim/workload.h"
 
 namespace pbs {
@@ -15,9 +16,22 @@ bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
   return got == want;
 }
 
+// Partitioned PinSketch sized for exactly `d_used` differences (gamma = 1;
+// g = ceil(d_used / 5), t from the PBS plan), at most `max_rounds` rounds.
+ReconcileOutcome PinSketchWp(const SetPair& pair, int d_used, int max_rounds,
+                             uint64_t seed, int report_sig_bits = 0) {
+  SchemeOptions options;
+  options.report_sig_bits = report_sig_bits;
+  options.pbs.gamma = 1.0;
+  options.pbs.max_rounds = max_rounds;
+  return SchemeRegistry::Instance()
+      .Create("pinsketch-wp", options)
+      ->Reconcile(pair.a, pair.b, d_used, seed);
+}
+
 TEST(PinSketchWp, IdenticalSets) {
   SetPair pair = GenerateSetPair(2000, 0, 32, 1);
-  auto out = PinSketchWpReconcile(pair.a, pair.b, 0, 5, 13, 32, 3, 1);
+  auto out = PinSketchWp(pair, 0, 3, 1);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(out.difference.empty());
 }
@@ -31,8 +45,7 @@ TEST_P(PinSketchWpSweep, RecoversDifference) {
   for (int trial = 0; trial < kTrials; ++trial) {
     SetPair pair =
         GenerateSetPair(std::max(2000, 4 * d), d, 32, 13 * d + trial);
-    auto out =
-        PinSketchWpReconcile(pair.a, pair.b, d, 5, 13, 32, 3, trial);
+    auto out = PinSketchWp(pair, d, 3, trial);
     if (out.success) {
       EXPECT_TRUE(Matches(out.difference, pair.truth_diff)) << "d=" << d;
       ++ok;
@@ -45,11 +58,12 @@ INSTANTIATE_TEST_SUITE_P(Ds, PinSketchWpSweep,
                          ::testing::Values(5, 25, 100, 500));
 
 TEST(PinSketchWp, CommunicationExceedsPbsMarginRatio) {
-  // Per-group overhead: sketch t*32 bits vs PBS's t*log n. With t=13 and
-  // g = d/5 groups, PinSketch/WP costs >= g * t * 32 bits.
+  // Per-group overhead: sketch t*32 bits vs PBS's t*log n. PinSketch/WP
+  // ships g = d/5 sketches at the PBS plan's t, so with t >= 13 it costs
+  // at least g * 13 * 32 bits.
   const int d = 250;
   SetPair pair = GenerateSetPair(5000, d, 32, 3);
-  auto out = PinSketchWpReconcile(pair.a, pair.b, d, 5, 13, 32, 3, 3);
+  auto out = PinSketchWp(pair, d, 3, 3);
   ASSERT_TRUE(out.success);
   EXPECT_GE(out.data_bytes, static_cast<size_t>(d / 5) * 13 * 32 / 8);
 }
@@ -57,9 +71,8 @@ TEST(PinSketchWp, CommunicationExceedsPbsMarginRatio) {
 TEST(PinSketchWp, ReportSigBitsScalesAccounting) {
   const int d = 100;
   SetPair pair = GenerateSetPair(3000, d, 32, 5);
-  auto out32 = PinSketchWpReconcile(pair.a, pair.b, d, 5, 13, 32, 3, 5, 0);
-  auto out256 =
-      PinSketchWpReconcile(pair.a, pair.b, d, 5, 13, 32, 3, 5, 256);
+  auto out32 = PinSketchWp(pair, d, 3, 5, 0);
+  auto out256 = PinSketchWp(pair, d, 3, 5, 256);
   ASSERT_TRUE(out32.success);
   ASSERT_TRUE(out256.success);
   // Appendix J.3: at 256-bit signatures everything scales by ~8x.
@@ -71,7 +84,7 @@ TEST(PinSketchWp, SplitsHandleOverloadedGroups) {
   // Underestimate d so several groups exceed t; splits must still converge
   // given enough rounds.
   SetPair pair = GenerateSetPair(4000, 120, 32, 7);
-  auto out = PinSketchWpReconcile(pair.a, pair.b, 30, 5, 13, 32, 8, 7);
+  auto out = PinSketchWp(pair, 30, 8, 7);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(Matches(out.difference, pair.truth_diff));
 }

@@ -317,11 +317,6 @@ constexpr size_t kProbePayloadBytes = 384;
 
 class ProbeInitiator : public ReconcileInitiator {
  public:
-  std::vector<uint8_t> NextRequest() override {
-    std::vector<uint8_t> out;
-    NextRequestInto(&out);
-    return out;
-  }
   void NextRequestInto(std::vector<uint8_t>* out) override {
     ++round_;
     out->assign(kProbePayloadBytes, static_cast<uint8_t>(round_));
@@ -359,11 +354,6 @@ class ProbeScheme : public SetReconciler {
   const char* name() const override { return "alloc-probe"; }
   const char* display_name() const override { return "AllocProbe"; }
   bool supports_rounds() const override { return true; }
-  ReconcileOutcome Reconcile(const std::vector<uint64_t>&,
-                             const std::vector<uint64_t>&, double,
-                             uint64_t) const override {
-    return ReconcileOutcome{};
-  }
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t>, double, uint64_t) const override {
     return std::make_unique<ProbeInitiator>();

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 
+#include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -20,9 +22,7 @@ TEST(Endpoints, ManualMessageLoop) {
   bool finished = false;
   int rounds = 0;
   while (!finished && rounds < config.max_rounds) {
-    auto request = alice.MakeRoundRequest();
-    auto reply = bob.HandleRoundRequest(request);
-    finished = alice.HandleRoundReply(reply);
+    finished = PbsRound(&alice, &bob);
     ++rounds;
   }
   ASSERT_TRUE(finished);
@@ -34,18 +34,22 @@ TEST(Endpoints, ManualMessageLoop) {
 }
 
 TEST(Endpoints, EstimateExchangeAgreesOnPlan) {
+  // Without an exact d the session layer's ToW exchange hands both
+  // endpoints the same estimate; a plan mismatch would leave units
+  // unsettled, so a successful exact recovery shows the plans agreed.
   SetPair pair = GenerateSetPair(3000, 64, 32, 2);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 7);
-  PbsBob bob(pair.b, config, 7);
-  auto request = alice.MakeEstimateRequest();
-  auto reply = bob.HandleEstimateRequest(request);
-  alice.HandleEstimateReply(reply);
-  EXPECT_EQ(alice.plan().d_used, bob.plan().d_used);
-  EXPECT_EQ(alice.plan().params.n, bob.plan().params.n);
-  EXPECT_EQ(alice.plan().params.t, bob.plan().params.t);
+  SessionConfig config;
+  config.scheme_name = "pbs";
+  config.seed = 7;
+  const SessionResult session = RunLoopbackSession(config, pair.a, pair.b);
+  ASSERT_TRUE(session.ok) << session.error;
+  ASSERT_TRUE(session.outcome.success);
+  auto diff = session.outcome.difference;
+  std::sort(diff.begin(), diff.end());
+  std::sort(pair.truth_diff.begin(), pair.truth_diff.end());
+  EXPECT_EQ(diff, pair.truth_diff);
   // gamma-inflated estimate should (usually) cover the true d.
-  EXPECT_GE(alice.plan().d_used, 40);
+  EXPECT_GE(InflateEstimate(session.d_hat, config.options.pbs.gamma), 40);
 }
 
 TEST(Endpoints, RoundRequestSizeMatchesPlan) {
@@ -54,7 +58,8 @@ TEST(Endpoints, RoundRequestSizeMatchesPlan) {
   PbsAlice alice(pair.a, config, 11);
   alice.SetDifferenceEstimate(100);
   const auto& p = alice.plan().params;
-  auto request = alice.MakeRoundRequest();
+  std::vector<uint8_t> request;
+  alice.MakeRoundRequest(&request);
   // Round 1: g sketches of t*m bits, no flag bits.
   const size_t expected_bits =
       static_cast<size_t>(p.g) * p.t * p.m;
@@ -75,9 +80,7 @@ TEST(Endpoints, TimersAccumulate) {
   PbsBob bob(pair.b, config, 13);
   alice.SetDifferenceEstimate(200);
   bob.SetDifferenceEstimate(200);
-  auto request = alice.MakeRoundRequest();
-  auto reply = bob.HandleRoundRequest(request);
-  alice.HandleRoundReply(reply);
+  PbsRound(&alice, &bob);
   EXPECT_GT(alice.timers().encode_seconds, 0.0);
   EXPECT_GT(bob.timers().encode_seconds, 0.0);
   EXPECT_GT(bob.timers().decode_seconds, 0.0);
@@ -94,8 +97,7 @@ TEST(Endpoints, MismatchedSeedsFailGracefully) {
   bob.SetDifferenceEstimate(10);
   bool finished = false;
   for (int r = 0; r < config.max_rounds && !finished; ++r) {
-    auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
-    finished = alice.HandleRoundReply(reply);
+    finished = PbsRound(&alice, &bob);
   }
   EXPECT_FALSE(finished);
 }

@@ -1,10 +1,16 @@
-#include "pbs/core/reconciler.h"
+// PBS through the scheme registry: correctness sweeps, estimate handling,
+// round caps and the byte accounting of Reconcile().
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "pbs/core/pbs_endpoints.h"
+#include "pbs/core/set_reconciler.h"
+#include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -18,7 +24,7 @@ bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
 TEST(Reconciler, IdenticalSetsFinishImmediately) {
   SetPair pair = GenerateSetPair(5000, 0, 32, 1);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 7, 0);
+  auto result = ReconcileSized("pbs", pair, config, 7, 0);
   EXPECT_TRUE(result.success);
   EXPECT_TRUE(result.difference.empty());
   EXPECT_EQ(result.rounds, 1);
@@ -27,7 +33,7 @@ TEST(Reconciler, IdenticalSetsFinishImmediately) {
 TEST(Reconciler, SingleDifference) {
   SetPair pair = GenerateSetPair(5000, 1, 32, 2);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 8, 1);
+  auto result = ReconcileSized("pbs", pair, config, 8, 1);
   EXPECT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
 }
@@ -43,8 +49,7 @@ TEST_P(ReconcilerSweep, RecoversExactDifference) {
     SetPair pair = GenerateSetPair(std::max(4 * d, 2000), d, 32,
                                    1000 + trial * 31 + d);
     PbsConfig config;
-    auto result =
-        PbsSession::Reconcile(pair.a, pair.b, config, 50 + trial, d);
+    auto result = ReconcileSized("pbs", pair, config, 50 + trial, d);
     if (result.success) {
       EXPECT_TRUE(Matches(result.difference, pair.truth_diff))
           << "claimed success but difference wrong, d=" << d;
@@ -62,23 +67,25 @@ TEST(Reconciler, TwoSidedDifferences) {
   // Elements on both sides (not the paper's B-subset-of-A setup).
   SetPair pair = GenerateTwoSidedPair(3000, 40, 25, 32, 9);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 3, 65);
+  auto result = ReconcileSized("pbs", pair, config, 3, 65);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
 }
 
 TEST(Reconciler, WithRealEstimatorExchange) {
+  // No exact d: the session layer runs the ToW estimate exchange and hands
+  // its d-hat to PBS.
   SetPair pair = GenerateSetPair(3000, 50, 32, 11);
-  PbsConfig config;
-  Transcript transcript;
-  auto result =
-      PbsSession::Reconcile(pair.a, pair.b, config, 5, -1, &transcript);
-  ASSERT_TRUE(result.success);
-  EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
-  EXPECT_GT(result.estimator_bytes, 0u);
-  // |A| = 3000 -> counters are ceil(log2(6001)) = 13 bits; 128 of them.
-  EXPECT_NEAR(result.estimator_bytes, 128 * 13 / 8 + 5, 8);
-  EXPECT_EQ(transcript.BytesInRound(0), result.estimator_bytes);
+  SessionConfig config;
+  config.scheme_name = "pbs";
+  config.seed = 5;
+  const SessionResult session = RunLoopbackSession(config, pair.a, pair.b);
+  ASSERT_TRUE(session.ok) << session.error;
+  ASSERT_TRUE(session.outcome.success);
+  EXPECT_TRUE(Matches(session.outcome.difference, pair.truth_diff));
+  // |A| = 3000 -> counters are ceil(log2(6001)) = 13 bits; 128 of them,
+  // after a 64-bit |A|, and an 8-byte estimate in reply.
+  EXPECT_EQ(session.outcome.estimator_bytes, 8 + 128 * 13 / 8 + 8);
 }
 
 TEST(Reconciler, UnderestimatedDStillCorrectWhenItSucceeds) {
@@ -87,7 +94,7 @@ TEST(Reconciler, UnderestimatedDStillCorrectWhenItSucceeds) {
   SetPair pair = GenerateSetPair(4000, 60, 32, 13);
   PbsConfig config;
   config.max_rounds = 6;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 17, 10);
+  auto result = ReconcileSized("pbs", pair, config, 17, 10);
   if (result.success) {
     EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   }
@@ -96,7 +103,7 @@ TEST(Reconciler, UnderestimatedDStillCorrectWhenItSucceeds) {
 TEST(Reconciler, GrossOverestimateStillWorks) {
   SetPair pair = GenerateSetPair(3000, 10, 32, 15);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 19, 500);
+  auto result = ReconcileSized("pbs", pair, config, 19, 500);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
 }
@@ -109,20 +116,34 @@ TEST(Reconciler, RoundCapReportsFailureHonestly) {
     SetPair pair = GenerateSetPair(4000, 100, 32, 21 + trial);
     PbsConfig config;
     config.max_rounds = 1;
-    auto result = PbsSession::Reconcile(pair.a, pair.b, config, trial, 20);
+    auto result = ReconcileSized("pbs", pair, config, trial, 20);
     if (!result.success) ++failures;
   }
   EXPECT_GE(failures, 4);
 }
 
-TEST(Reconciler, TranscriptMatchesReportedBytes) {
+TEST(Reconciler, DataBytesMatchEndpointPayloads) {
+  // Reconcile()'s data_bytes is exactly the endpoint messages: every round
+  // request and reply, driven here by hand.
   SetPair pair = GenerateSetPair(3000, 30, 32, 23);
   PbsConfig config;
-  Transcript transcript;
-  auto result =
-      PbsSession::Reconcile(pair.a, pair.b, config, 29, 30, &transcript);
-  EXPECT_EQ(transcript.total_bytes(), result.data_bytes);
-  EXPECT_EQ(transcript.max_round(), result.rounds);
+  const ReconcileOutcome result = ReconcileSized("pbs", pair, config, 29, 30);
+  PbsAlice alice(pair.a, config, 29);
+  PbsBob bob(pair.b, config, 29);
+  alice.SetDifferenceEstimate(30);
+  bob.SetDifferenceEstimate(30);
+  std::vector<uint8_t> request, reply;
+  size_t bytes = 0;
+  bool finished = false;
+  while (!finished && alice.round() < config.max_rounds) {
+    alice.MakeRoundRequest(&request);
+    bob.HandleRoundRequest(request, &reply);
+    finished = alice.HandleRoundReply(reply);
+    bytes += request.size() + reply.size();
+  }
+  EXPECT_EQ(result.success, finished);
+  EXPECT_EQ(result.data_bytes, bytes);
+  EXPECT_EQ(result.rounds, alice.round());
 }
 
 TEST(Reconciler, CommunicationNearTwiceMinimum) {
@@ -130,7 +151,7 @@ TEST(Reconciler, CommunicationNearTwiceMinimum) {
   const int d = 500;
   SetPair pair = GenerateSetPair(50000, d, 32, 31);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 37, d);
+  auto result = ReconcileSized("pbs", pair, config, 37, d);
   ASSERT_TRUE(result.success);
   const double minimum = d * 4.0;  // d * 32 bits.
   const double ratio = static_cast<double>(result.data_bytes) / minimum;
@@ -141,16 +162,19 @@ TEST(Reconciler, CommunicationNearTwiceMinimum) {
 TEST(Reconciler, DifferenceElementsNeverContainZero) {
   SetPair pair = GenerateSetPair(2000, 25, 32, 41);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 43, 25);
+  auto result = ReconcileSized("pbs", pair, config, 43, 25);
   for (uint64_t e : result.difference) EXPECT_NE(e, 0u);
 }
 
 TEST(Reconciler, PlanExposedInResult) {
   SetPair pair = GenerateSetPair(2000, 100, 32, 47);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 53, 100);
-  EXPECT_EQ(result.plan.params.g, 20);
-  EXPECT_GE(result.plan.params.n, 63);
+  auto result = ReconcileSized("pbs", pair, config, 53, 100);
+  // d_used = 100 with delta = 5 -> g = 20 groups.
+  EXPECT_NE(result.params_summary.find("g=20 "), std::string::npos)
+      << result.params_summary;
+  EXPECT_NE(result.params_summary.find("d_used=100"), std::string::npos)
+      << result.params_summary;
 }
 
 }  // namespace

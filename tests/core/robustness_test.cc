@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "pbs/common/rng.h"
+#include "pbs/core/messages.h"
 #include "pbs/core/pbs_endpoints.h"
+#include "pbs/core/session_engine.h"
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -37,7 +41,9 @@ TEST_P(MessageCorruption, CorruptedRoundReplyNeverFalselySucceeds) {
 
   bool finished = false;
   for (int round = 0; round < config.max_rounds && !finished; ++round) {
-    auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
+    std::vector<uint8_t> request, reply;
+    alice.MakeRoundRequest(&request);
+    bob.HandleRoundRequest(request, &reply);
     finished = alice.HandleRoundReply(Corrupt(std::move(reply), &rng));
   }
   if (finished) {
@@ -58,9 +64,10 @@ TEST_P(MessageCorruption, CorruptedRequestDoesNotCrashBob) {
   PbsBob bob(pair.b, config, 7);
   alice.SetDifferenceEstimate(20);
   bob.SetDifferenceEstimate(20);
-  auto request = Corrupt(alice.MakeRoundRequest(), &rng);
-  auto reply = bob.HandleRoundRequest(request);  // Must not crash.
-  (void)reply;
+  std::vector<uint8_t> request, reply;
+  alice.MakeRoundRequest(&request);
+  bob.HandleRoundRequest(Corrupt(std::move(request), &rng),
+                         &reply);  // Must not crash.
   SUCCEED();
 }
 
@@ -74,7 +81,9 @@ TEST(Robustness, TruncatedReplyHandled) {
   PbsBob bob(pair.b, config, 9);
   alice.SetDifferenceEstimate(20);
   bob.SetDifferenceEstimate(20);
-  auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
+  std::vector<uint8_t> request, reply;
+  alice.MakeRoundRequest(&request);
+  bob.HandleRoundRequest(request, &reply);
   reply.resize(reply.size() / 2);
   alice.HandleRoundReply(reply);  // Must not crash.
   SUCCEED();
@@ -87,21 +96,43 @@ TEST(Robustness, EmptyMessagesHandled) {
   PbsBob bob(pair.b, config, 11);
   alice.SetDifferenceEstimate(5);
   bob.SetDifferenceEstimate(5);
-  alice.MakeRoundRequest();
+  std::vector<uint8_t> request, reply;
+  alice.MakeRoundRequest(&request);
   alice.HandleRoundReply({});           // Empty reply.
-  bob.HandleRoundRequest({});           // Empty request.
+  bob.HandleRoundRequest({}, &reply);   // Empty request.
   SUCCEED();
 }
 
 TEST(Robustness, GarbageEstimateRequestHandled) {
+  // The session layer owns the estimate exchange: a responder past HELLO
+  // that receives a garbage ESTIMATE_REQ payload must fail with a
+  // diagnostic instead of crashing or answering with an estimate.
   SetPair pair = GenerateSetPair(500, 5, 32, 79);
-  PbsConfig config;
-  PbsBob bob(pair.b, config, 13);
+  SessionEngine initiator = SessionEngine::Initiator(SessionConfig{}, pair.a);
+  SessionEngine responder = SessionEngine::Responder(pair.b);
+  std::vector<uint8_t> hello(initiator.outbound_size());
+  initiator.Poll(hello.data(), hello.size());
+  responder.Feed(hello.data(), hello.size());
+  uint8_t sink[4096];
+  while (responder.Status() == SessionStatus::kWantWrite) {
+    responder.Poll(sink, sizeof(sink));  // HELLO_ACK.
+  }
+  ASSERT_EQ(responder.Status(), SessionStatus::kWantRead);
+
   Xoshiro256 rng(80);
-  std::vector<uint8_t> garbage(64);
-  for (auto& b : garbage) b = static_cast<uint8_t>(rng.Next());
-  auto reply = bob.HandleEstimateRequest(garbage);  // Must not crash.
-  EXPECT_EQ(reply.size(), 4u);
+  wire::WireFrame frame;
+  frame.type = wire::FrameType::kEstimateRequest;
+  frame.payload.resize(64);
+  for (auto& b : frame.payload) b = static_cast<uint8_t>(rng.Next());
+  const std::vector<uint8_t> garbage = wire::EncodeFrame(frame);
+  responder.Feed(garbage.data(), garbage.size());  // Must not crash.
+  while (responder.Status() == SessionStatus::kWantWrite) {
+    responder.Poll(sink, sizeof(sink));  // ERROR frame.
+  }
+  EXPECT_EQ(responder.Status(), SessionStatus::kError);
+  EXPECT_NE(responder.result().error.find("malformed estimate request"),
+            std::string::npos)
+      << responder.result().error;
 }
 
 TEST(Robustness, ZeroLengthSetsReconcile) {
@@ -110,8 +141,7 @@ TEST(Robustness, ZeroLengthSetsReconcile) {
   PbsBob bob({}, config, 15);
   alice.SetDifferenceEstimate(0);
   bob.SetDifferenceEstimate(0);
-  const bool finished =
-      alice.HandleRoundReply(bob.HandleRoundRequest(alice.MakeRoundRequest()));
+  const bool finished = PbsRound(&alice, &bob);
   EXPECT_TRUE(finished);
   EXPECT_TRUE(alice.Difference().empty());
 }
@@ -127,8 +157,7 @@ TEST(Robustness, OneSidedEmptySet) {
   bob.SetDifferenceEstimate(60);
   bool finished = false;
   for (int r = 0; r < config.max_rounds && !finished; ++r) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
+    finished = PbsRound(&alice, &bob);
   }
   ASSERT_TRUE(finished);
   auto diff = alice.Difference();

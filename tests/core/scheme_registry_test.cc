@@ -1,23 +1,16 @@
 // Conformance suite for the SetReconciler interface and SchemeRegistry:
 // every registered scheme, iterated by name, must recover the exact
-// difference over the sim/workload shapes with sane byte/round accounting,
-// and the adapters must produce results identical to the pre-refactor
-// direct calls they wrap.
+// difference over the sim/workload shapes with sane byte/round accounting.
+// The per-scheme pinned outcomes live in scheme_golden_test.cc.
 
 #include "pbs/core/set_reconciler.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
-#include "pbs/baselines/ddigest.h"
-#include "pbs/baselines/graphene.h"
-#include "pbs/baselines/pinsketch.h"
-#include "pbs/baselines/pinsketch_wp.h"
-#include "pbs/core/reconciler.h"
 #include "pbs/sim/workload.h"
 
 namespace pbs {
@@ -108,79 +101,6 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
-// The adapters must be byte-, round- and element-identical to the direct
-// calls the experiment runner made before the refactor, for the same
-// (d_hat, seed) inputs.
-TEST(SchemeAdapterParity, MatchesDirectCalls) {
-  const SetPair pair = GenerateSetPair(3000, 40, 32, 0xAB1DE);
-  const double d_hat = 43.7;  // Typical noisy ToW output.
-  const uint64_t seed = 0x9A17;
-  const SchemeOptions options;
-  const PbsConfig& base = options.pbs;
-  const int d_raw = std::max(0, static_cast<int>(std::llround(d_hat)));
-  const int d_inflated = InflateEstimate(d_hat, base.gamma);
-  auto& registry = SchemeRegistry::Instance();
-
-  {
-    PbsConfig cfg = base;
-    cfg.sig_bits = options.sig_bits;
-    const PbsResult direct =
-        PbsSession::Reconcile(pair.a, pair.b, cfg, seed, d_inflated, nullptr);
-    const ReconcileOutcome via =
-        registry.Create("pbs", options)->Reconcile(pair.a, pair.b, d_hat,
-                                                   seed);
-    EXPECT_EQ(via.success, direct.success);
-    EXPECT_EQ(via.data_bytes, direct.data_bytes);
-    EXPECT_EQ(via.rounds, direct.rounds);
-    EXPECT_EQ(Sorted(via.difference), Sorted(direct.difference));
-  }
-  {
-    const int t = std::max(1, d_inflated);
-    const BaselineOutcome direct =
-        PinSketchReconcile(pair.a, pair.b, t, options.sig_bits, seed);
-    const ReconcileOutcome via = registry.Create("pinsketch", options)
-                                     ->Reconcile(pair.a, pair.b, d_hat, seed);
-    EXPECT_EQ(via.success, direct.success);
-    EXPECT_EQ(via.data_bytes, direct.data_bytes);
-    EXPECT_EQ(via.rounds, direct.rounds);
-    EXPECT_EQ(Sorted(via.difference), Sorted(direct.difference));
-  }
-  {
-    const BaselineOutcome direct = DDigestReconcile(
-        pair.a, pair.b, std::max(d_raw, 1), options.sig_bits, seed);
-    const ReconcileOutcome via = registry.Create("ddigest", options)
-                                     ->Reconcile(pair.a, pair.b, d_hat, seed);
-    EXPECT_EQ(via.success, direct.success);
-    EXPECT_EQ(via.data_bytes, direct.data_bytes);
-    EXPECT_EQ(via.rounds, direct.rounds);
-    EXPECT_EQ(Sorted(via.difference), Sorted(direct.difference));
-  }
-  {
-    const BaselineOutcome direct = GrapheneReconcile(
-        pair.a, pair.b, std::max(d_inflated, 1), options.sig_bits, seed);
-    const ReconcileOutcome via = registry.Create("graphene", options)
-                                     ->Reconcile(pair.a, pair.b, d_hat, seed);
-    EXPECT_EQ(via.success, direct.success);
-    EXPECT_EQ(via.data_bytes, direct.data_bytes);
-    EXPECT_EQ(via.rounds, direct.rounds);
-    EXPECT_EQ(Sorted(via.difference), Sorted(direct.difference));
-  }
-  {
-    PbsConfig cfg = base;
-    cfg.sig_bits = options.sig_bits;
-    const PbsPlan plan = PlanFor(cfg, d_inflated);
-    const BaselineOutcome direct = PinSketchWpReconcile(
-        pair.a, pair.b, d_inflated, cfg.delta, plan.params.t,
-        options.sig_bits, cfg.max_rounds, seed, options.report_sig_bits);
-    const ReconcileOutcome via = registry.Create("pinsketch-wp", options)
-                                     ->Reconcile(pair.a, pair.b, d_hat, seed);
-    EXPECT_EQ(via.success, direct.success);
-    EXPECT_EQ(via.data_bytes, direct.data_bytes);
-    EXPECT_EQ(via.rounds, direct.rounds);
-    EXPECT_EQ(Sorted(via.difference), Sorted(direct.difference));
-  }
-}
-
 // PbsConfig::decode_threads is a local performance knob: for any thread
 // count the recovered difference, byte accounting, and round trajectory
 // must be identical to the serial run (the per-group parallel decode
@@ -219,7 +139,7 @@ TEST(SchemeAdapterParity, PbsDecodeThreadsDoesNotChangeOutcome) {
 
 // Appendix J.3 accounting through the interface: wide-signature reporting
 // must add (report_sig_bits - sig_bits)/8 bytes per signature-width field
-// to PBS, exactly as the runner used to.
+// to PBS.
 TEST(SchemeAdapterParity, WideSignatureAccounting) {
   const SetPair pair = GenerateSetPair(2000, 30, 32, 0xF00D);
   const double d_hat = static_cast<double>(pair.truth_diff.size());

@@ -6,29 +6,29 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "pbs/core/reconciler.h"
+#include "pbs/core/pbs_endpoints.h"
+#include "pbs/core/set_reconciler.h"
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
 
 TEST(StrongVerification, PassesOnCorrectReconciliation) {
   SetPair pair = GenerateSetPair(3000, 40, 32, 1);
-  PbsConfig config;
-  config.strong_verification = true;
-  Transcript transcript;
-  auto result =
-      PbsSession::Reconcile(pair.a, pair.b, config, 7, 40, &transcript);
+  SchemeOptions plain;
+  plain.pbs.gamma = 1.0;
+  SchemeOptions strong = plain;
+  strong.pbs.strong_verification = true;
+  auto& registry = SchemeRegistry::Instance();
+  const auto base =
+      registry.Create("pbs", plain)->Reconcile(pair.a, pair.b, 40, 7);
+  const auto result =
+      registry.Create("pbs", strong)->Reconcile(pair.a, pair.b, 40, 7);
   ASSERT_TRUE(result.success);
+  EXPECT_EQ(result.rounds, base.rounds);
   // The epilogue costs exactly one 24-byte digest message.
-  bool saw_digest = false;
-  for (const auto& entry : transcript.entries()) {
-    if (entry.label == "strong_digest") {
-      saw_digest = true;
-      EXPECT_EQ(entry.bytes, 24u);
-    }
-  }
-  EXPECT_TRUE(saw_digest);
+  EXPECT_EQ(result.data_bytes, base.data_bytes + 24);
 }
 
 TEST(StrongVerification, DigestVerifiesManually) {
@@ -40,8 +40,7 @@ TEST(StrongVerification, DigestVerifiesManually) {
   bob.SetDifferenceEstimate(25);
   bool finished = false;
   while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
+    finished = PbsRound(&alice, &bob);
   }
   EXPECT_TRUE(alice.VerifyStrongDigest(bob.MakeStrongDigest()));
 }
@@ -55,8 +54,7 @@ TEST(StrongVerification, RejectsTamperedDigest) {
   bob.SetDifferenceEstimate(25);
   bool finished = false;
   while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
+    finished = PbsRound(&alice, &bob);
   }
   auto digest = bob.MakeStrongDigest();
   digest[5] ^= 0x40;
@@ -70,7 +68,7 @@ TEST(StrongVerification, RejectsTruncatedDigest) {
   PbsBob bob(pair.b, config, 13);
   alice.SetDifferenceEstimate(5);
   bob.SetDifferenceEstimate(5);
-  alice.HandleRoundReply(bob.HandleRoundRequest(alice.MakeRoundRequest()));
+  PbsRound(&alice, &bob);
   auto digest = bob.MakeStrongDigest();
   digest.resize(10);
   EXPECT_FALSE(alice.VerifyStrongDigest(digest));
@@ -85,8 +83,7 @@ TEST(Bidirectional, ElementsOnlyInASubsetOfDifference) {
   bob.SetDifferenceEstimate(70);
   bool finished = false;
   while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
+    finished = PbsRound(&alice, &bob);
   }
   auto a_only = alice.ElementsOnlyInA();
   EXPECT_EQ(a_only.size(), 30u);
@@ -109,8 +106,7 @@ TEST(Bidirectional, BobFormsUnionFromShippedElements) {
   bob.SetDifferenceEstimate(56);
   bool finished = false;
   while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
+    finished = PbsRound(&alice, &bob);
   }
 
   std::unordered_set<uint64_t> alice_union(pair.a.begin(), pair.a.end());

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "pbs/core/pbs_endpoints.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -48,8 +50,7 @@ TEST(Validation, SubuniverseCheckTogglePreservesCorrectness) {
   bob.SetDifferenceEstimate(50);
   bool finished = false;
   for (int r = 0; r < off.max_rounds && !finished; ++r) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
+    finished = PbsRound(&alice, &bob);
   }
   EXPECT_TRUE(finished);
   EXPECT_EQ(alice.Difference().size(), 50u);

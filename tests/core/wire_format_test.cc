@@ -8,7 +8,7 @@
 
 #include "pbs/core/messages.h"
 #include "pbs/core/pbs_endpoints.h"
-#include "pbs/estimator/tow.h"
+#include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
 
 namespace pbs {
@@ -29,7 +29,8 @@ TEST(WireFormat, RoundOneRequestIsExactlyGSketches) {
   PbsAlice alice(pair.a, config, 7);
   alice.SetDifferenceEstimate(100);
   const auto& p = alice.plan().params;
-  const auto request = alice.MakeRoundRequest();
+  std::vector<uint8_t> request;
+  alice.MakeRoundRequest(&request);
   EXPECT_EQ(request.size(),
             (static_cast<size_t>(p.g) * p.t * p.m + 7) / 8);
 }
@@ -43,7 +44,9 @@ TEST(WireFormat, RoundOneReplyLayout) {
   alice.SetDifferenceEstimate(0);
   bob.SetDifferenceEstimate(0);
   const auto& p = alice.plan().params;
-  const auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
+  std::vector<uint8_t> request, reply;
+  alice.MakeRoundRequest(&request);
+  bob.HandleRoundRequest(request, &reply);
   // d=0 -> g=1 unit, zero decoded positions:
   // 1 + count_bits + 0 + 32 bits.
   const size_t expected_bits = 1 + wire::CountBits(p.t) + 32;
@@ -51,23 +54,17 @@ TEST(WireFormat, RoundOneReplyLayout) {
 }
 
 TEST(WireFormat, EstimateRequestSizeMatchesFormula) {
+  // The session layer's ToW exchange (no exact d): the request is a u64
+  // |A| = 1000 then 128 counters of ceil(log2(2001)) = 11 bits; the reply
+  // is one f64 estimate.
   SetPair pair = GenerateSetPair(1000, 10, 32, 3);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 11);
-  const auto request = alice.MakeEstimateRequest();
-  // varint(|A| = 1000) = 2 groups of 8 bits; 128 counters of
-  // ceil(log2(2001)) = 11 bits.
-  const size_t expected_bits = 16 + 128 * 11;
-  EXPECT_EQ(request.size(), (expected_bits + 7) / 8);
-}
-
-TEST(WireFormat, EstimateReplyIsFourBytes) {
-  SetPair pair = GenerateSetPair(1000, 10, 32, 4);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 13);
-  PbsBob bob(pair.b, config, 13);
-  const auto reply = bob.HandleEstimateRequest(alice.MakeEstimateRequest());
-  EXPECT_EQ(reply.size(), 4u);
+  SessionConfig config;
+  config.scheme_name = "pbs";
+  config.seed = 11;
+  const SessionResult session = RunLoopbackSession(config, pair.a, pair.b);
+  ASSERT_TRUE(session.ok) << session.error;
+  const size_t request_bits = 64 + 128 * 11;
+  EXPECT_EQ(session.outcome.estimator_bytes, (request_bits + 7) / 8 + 8);
 }
 
 TEST(WireFormat, StrongDigestIsTwentyFourBytes) {
@@ -90,8 +87,9 @@ TEST(WireFormat, PaperFormulaOneFirstRoundBytes) {
   const auto& p = alice.plan().params;
   ASSERT_EQ(p.n, 127);
   ASSERT_EQ(p.t, 13);
-  const auto request = alice.MakeRoundRequest();
-  const auto reply = bob.HandleRoundRequest(request);
+  std::vector<uint8_t> request, reply;
+  alice.MakeRoundRequest(&request);
+  bob.HandleRoundRequest(request, &reply);
   const double total_bits = 8.0 * (request.size() + reply.size());
   // Paper formula totalled over g groups with sum(delta_i) = d:
   // g*(t*7 + 32) + d*(7 + 32) bits = 200*123 + 1000*39 = 63.6 kbit.

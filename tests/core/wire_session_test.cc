@@ -6,8 +6,8 @@
 //  2. Transports: loopback and TCP move frames intact.
 //  3. Sessions: for EVERY scheme in the registry, a loopback session
 //     recovers a difference identical to the in-memory Reconcile() call
-//     with the same estimate and seed — the wire protocol is a faithful
-//     split of the algorithm, not a re-implementation.
+//     with the same estimate and seed, with the same paper accounting --
+//     both run the scheme's one pair of protocol engines.
 
 #include <gtest/gtest.h>
 
@@ -160,6 +160,7 @@ TEST(WireSession, LoopbackMatchesInMemoryReconcileForEveryScheme) {
     EXPECT_EQ(session.outcome.rounds, direct.rounds);
     EXPECT_EQ(session.outcome.difference, direct.difference)
         << "wire session and in-memory Reconcile diverged";
+    EXPECT_EQ(session.outcome.data_bytes, direct.data_bytes);
     EXPECT_GT(session.outcome.wire_bytes,
               session.outcome.data_bytes)  // Frames add overhead.
         << "wire accounting missing";

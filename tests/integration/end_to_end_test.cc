@@ -7,12 +7,9 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "pbs/baselines/ddigest.h"
-#include "pbs/baselines/graphene.h"
-#include "pbs/baselines/pinsketch.h"
-#include "pbs/baselines/pinsketch_wp.h"
-#include "pbs/core/reconciler.h"
+#include "pbs/core/set_reconciler.h"
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -40,9 +37,9 @@ TEST_P(ShapeTest, PbsHandlesAllShapes) {
       GenerateTwoSidedPair(s.common, s.a_only, s.b_only, 32, 77);
   PbsConfig config;
   config.max_rounds = 5;
-  auto result = PbsSession::Reconcile(
-      pair.a, pair.b, config, 7,
-      static_cast<int>(1.4 * (s.a_only + s.b_only)) + 1);
+  auto result =
+      ReconcileSized("pbs", pair, config, 7,
+                     static_cast<int>(1.4 * (s.a_only + s.b_only)) + 1);
   ASSERT_TRUE(result.success) << s.name;
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff)) << s.name;
 }
@@ -65,7 +62,7 @@ TEST(Exceptions, BchFailurePathViaGrossUnderestimate) {
   SetPair pair = GenerateSetPair(2000, 60, 32, 5);
   PbsConfig config;
   config.max_rounds = 8;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 11, 5);
+  auto result = ReconcileSized("pbs", pair, config, 11, 5);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   EXPECT_GE(result.rounds, 2);  // Splits cost at least one extra round.
@@ -81,7 +78,7 @@ TEST(Exceptions, TinyBitmapForcesTypeExceptionsAcrossRounds) {
   config.optimizer.min_m = 6;
   config.optimizer.max_m = 6;  // Pin the bitmap at n = 63.
   config.optimizer.t_high = 13.0;  // Allow t up to 65 so BCH decode works.
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 13, 60);
+  auto result = ReconcileSized("pbs", pair, config, 13, 60);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   EXPECT_GE(result.rounds, 2);
@@ -96,7 +93,7 @@ TEST(Exceptions, MaxRoundsOneWithCollisionsFailsHonestly) {
   config.optimizer.min_m = 6;
   config.optimizer.max_m = 6;
   config.optimizer.t_high = 9.0;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 17, 40);
+  auto result = ReconcileSized("pbs", pair, config, 17, 40);
   EXPECT_FALSE(result.success);
 }
 
@@ -112,7 +109,7 @@ TEST(Correctness, ReportedSuccessIsAlwaysCorrect) {
     // Deliberately noisy estimates, under and over.
     const int d_used = std::max<int>(1, static_cast<int>(d) - 10 + trial % 21);
     auto result =
-        PbsSession::Reconcile(pair.a, pair.b, config, trial, d_used);
+        ReconcileSized("pbs", pair, config, trial, d_used);
     if (result.success) {
       EXPECT_TRUE(Matches(result.difference, pair.truth_diff))
           << "trial " << trial;
@@ -126,11 +123,11 @@ TEST(CrossScheme, AllSchemesAgreeOnTheSameInstance) {
   SetPair pair = GenerateSetPair(4000, 75, 32, 21);
   PbsConfig config;
 
-  auto pbs = PbsSession::Reconcile(pair.a, pair.b, config, 3, 104);
-  auto pin = PinSketchReconcile(pair.a, pair.b, 104, 32, 3);
-  auto dd = DDigestReconcile(pair.a, pair.b, 75, 32, 3);
-  auto gr = GrapheneReconcile(pair.a, pair.b, 104, 32, 3);
-  auto wp = PinSketchWpReconcile(pair.a, pair.b, 104, 5, 13, 32, 3, 3);
+  auto pbs = ReconcileSized("pbs", pair, config, 3, 104);
+  auto pin = ReconcileSized("pinsketch", pair, config, 3, 104);
+  auto dd = ReconcileSized("ddigest", pair, config, 3, 75);
+  auto gr = ReconcileSized("graphene", pair, config, 3, 104);
+  auto wp = ReconcileSized("pinsketch-wp", pair, config, 3, 104);
 
   ASSERT_TRUE(pbs.success);
   ASSERT_TRUE(pin.success);
@@ -149,9 +146,9 @@ TEST(CrossScheme, AllSchemesAgreeOnTheSameInstance) {
 TEST(CrossScheme, ByteOrderingPinsketchPbsDdigest) {
   SetPair pair = GenerateSetPair(6000, 150, 32, 23);
   PbsConfig config;
-  auto pbs = PbsSession::Reconcile(pair.a, pair.b, config, 5, 207);
-  auto pin = PinSketchReconcile(pair.a, pair.b, 207, 32, 5);
-  auto dd = DDigestReconcile(pair.a, pair.b, 150, 32, 5);
+  auto pbs = ReconcileSized("pbs", pair, config, 5, 207);
+  auto pin = ReconcileSized("pinsketch", pair, config, 5, 207);
+  auto dd = ReconcileSized("ddigest", pair, config, 5, 150);
   ASSERT_TRUE(pbs.success && pin.success && dd.success);
   EXPECT_LT(pin.data_bytes, pbs.data_bytes);
   EXPECT_LT(pbs.data_bytes, dd.data_bytes);
@@ -162,8 +159,8 @@ TEST(CrossScheme, ByteOrderingPinsketchPbsDdigest) {
 TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
   SetPair pair = GenerateSetPair(3000, 64, 32, 29);
   PbsConfig config;
-  auto r1 = PbsSession::Reconcile(pair.a, pair.b, config, 31, 89);
-  auto r2 = PbsSession::Reconcile(pair.a, pair.b, config, 31, 89);
+  auto r1 = ReconcileSized("pbs", pair, config, 31, 89);
+  auto r2 = ReconcileSized("pbs", pair, config, 31, 89);
   EXPECT_EQ(r1.success, r2.success);
   EXPECT_EQ(r1.data_bytes, r2.data_bytes);
   EXPECT_EQ(r1.rounds, r2.rounds);
@@ -178,7 +175,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
 TEST(Scale, HundredThousandElementsThousandDifferences) {
   SetPair pair = GenerateSetPair(100000, 1000, 32, 37);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 41, 1380);
+  auto result = ReconcileSized("pbs", pair, config, 41, 1380);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   // ~2-3x minimum even at scale.

@@ -8,9 +8,10 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "pbs/core/reconciler.h"
+#include "pbs/core/set_reconciler.h"
 #include "pbs/markov/success_probability.h"
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -35,8 +36,7 @@ TEST_P(SuccessIsTruth, AcrossWorkloads) {
     SetPair pair = GenerateSetPair(1000 + d * 4, d, 32, seed * 31 + variant);
     PbsConfig config;
     config.max_rounds = 3 + variant;
-    auto result =
-        PbsSession::Reconcile(pair.a, pair.b, config, seed, d_used);
+    auto result = ReconcileSized("pbs", pair, config, seed, d_used);
     if (result.success) {
       EXPECT_TRUE(Matches(result.difference, pair.truth_diff))
           << "seed=" << seed << " variant=" << variant;
@@ -56,8 +56,7 @@ TEST_P(NoCommonElements, DiffDisjointFromIntersection) {
                                       32, seed);
   PbsConfig config;
   config.max_rounds = 6;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, seed ^ 0xF00,
-                                      120);
+  auto result = ReconcileSized("pbs", pair, config, seed ^ 0xF00, 120);
   if (!result.success) return;
   std::unordered_set<uint64_t> in_a(pair.a.begin(), pair.a.end());
   std::unordered_set<uint64_t> in_b(pair.b.begin(), pair.b.end());
@@ -76,8 +75,8 @@ TEST(SeedSweep, BytesGrowWithD) {
   double prev = 0;
   for (size_t d : {10, 50, 250, 1250}) {
     SetPair pair = GenerateSetPair(6000, d, 32, 99 + d);
-    auto result = PbsSession::Reconcile(pair.a, pair.b, config, 3,
-                                        static_cast<int>(1.4 * d));
+    auto result = ReconcileSized("pbs", pair, config, 3,
+                                 static_cast<int>(1.4 * d));
     ASSERT_TRUE(result.success) << d;
     EXPECT_GT(static_cast<double>(result.data_bytes), prev) << d;
     prev = static_cast<double>(result.data_bytes);
@@ -98,7 +97,7 @@ TEST(SeedSweep, EmpiricalRoundOneMatchesMarkovModel) {
   config.optimizer.max_m = 6;
   for (int trial = 0; trial < kTrials; ++trial) {
     SetPair pair = GenerateSetPair(400, d, 32, 5000 + trial);
-    auto result = PbsSession::Reconcile(pair.a, pair.b, config, trial, d);
+    auto result = ReconcileSized("pbs", pair, config, trial, d);
     if (result.success) ++settled;
   }
   const double empirical = static_cast<double>(settled) / kTrials;
@@ -117,8 +116,8 @@ TEST_P(RoundMonotonicity, LargerCapNeverLosesSuccess) {
   tight.max_rounds = 2;
   PbsConfig loose;
   loose.max_rounds = 6;
-  auto r_tight = PbsSession::Reconcile(pair.a, pair.b, tight, seed, 166);
-  auto r_loose = PbsSession::Reconcile(pair.a, pair.b, loose, seed, 166);
+  auto r_tight = ReconcileSized("pbs", pair, tight, seed, 166);
+  auto r_loose = ReconcileSized("pbs", pair, loose, seed, 166);
   EXPECT_LE(r_tight.rounds, 2);
   EXPECT_LE(r_loose.rounds, 6);
   if (r_tight.success) {
