@@ -29,6 +29,10 @@ struct Shape {
   size_t b_only;
 };
 
+// Without this gtest prints the raw struct bytes, name pointer included,
+// so the discovered test name would change with every build's load address.
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
+
 class ShapeTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ShapeTest, PbsHandlesAllShapes) {
