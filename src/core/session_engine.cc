@@ -51,17 +51,8 @@ constexpr uint8_t kHelloStrongVerification = 1u << 1;
 constexpr uint8_t kHelloSubuniverseCheck = 1u << 2;
 
 // Wire-carried difference estimates feed InflateEstimate's double->int
-// conversion and size per-scheme allocations. The responder-side engines
-// reject inflated capacities above 2^20 (kMaxWireDifference), so the
-// initiator bounds the raw estimate to 2^19 — leaving 2x headroom for any
-// sane inflation factor — and fails with a capacity error up front rather
-// than letting the peer report "malformed request" later. Non-finite
-// values are rejected outright.
-constexpr double kMaxWireEstimate = static_cast<double>(1 << 19);
-
-bool ValidEstimate(double d) {
-  return std::isfinite(d) && d >= 0.0 && d <= kMaxWireEstimate;
-}
+// conversion and size per-scheme allocations, so they are held to
+// ValidDifferenceEstimate() (core/set_reconciler.h) like Reconcile()'s.
 
 // The HELLO encodes these fields at fixed widths; sending silently
 // truncated values would make the responder plan with a different
@@ -94,8 +85,8 @@ bool ValidateSessionConfig(const SessionConfig& config, std::string* error) {
     return fail("max_split_depth (0-255)");
   }
   if (pbs.ell < 1 || pbs.ell > 65535) return fail("ell (1-65535)");
-  if (config.exact_d >= 0.0 && !ValidEstimate(config.exact_d)) {
-    return fail("exact_d (finite, <= 1e9)");
+  if (config.exact_d >= 0.0 && !ValidDifferenceEstimate(config.exact_d)) {
+    return fail("exact_d (finite, 0 to 2^19)");
   }
   // 0 and 1 both mean "monolithic"; a sharded session's count must fit
   // the u16 SHARD_PLAN field and the negotiation bounds.
@@ -168,7 +159,8 @@ bool DecodeHello(const std::vector<uint8_t>& payload, SessionConfig* config) {
                         ? BitsToDouble(r.ReadBits(64))
                         : -1.0;
   if (r.overflowed()) return false;
-  if ((flags & kHelloHasExactD) != 0 && !ValidEstimate(config->exact_d)) {
+  if ((flags & kHelloHasExactD) != 0 &&
+      !ValidDifferenceEstimate(config->exact_d)) {
     return false;
   }
   if (pbs.delta < 1 || pbs.max_rounds < 1 || pbs.ell < 1) return false;
@@ -719,7 +711,7 @@ void SessionEngine::DispatchInitiator() {
         Fail("malformed estimate reply");
         return;
       }
-      if (d_hat_ > kMaxWireEstimate) {
+      if (d_hat_ > kMaxDifferenceEstimate) {
         Fail("difference estimate exceeds wire session capacity "
              "(d-hat > 2^19)");
         return;
@@ -1015,12 +1007,6 @@ void SessionEngine::FinishShardedInitiator() {
 void SessionEngine::StartSchemePhase() {
   initiator_engine_ =
       reconciler_->CreateInitiator(*elements_, d_hat_, config_.seed);
-  if (!initiator_engine_) {
-    AppendError("scheme has no wire protocol");
-    Fail("scheme '" + config_.scheme_name +
-         "' does not implement a wire protocol");
-    return;
-  }
   state_ = State::kAwaitSchemeReply;
   EmitNextRequest();
 }
@@ -1410,12 +1396,6 @@ void SessionEngine::HandleSchemeRequest() {
     if (!responder_engine_) {
       responder_engine_ =
           reconciler_->CreateResponder(*elements_, d_hat_, config_.seed);
-    }
-    if (!responder_engine_) {
-      AppendError("scheme has no wire protocol");
-      Fail("scheme '" + config_.scheme_name +
-           "' does not implement a wire protocol");
-      return;
     }
   }
   if (!responder_engine_->HandleRequest(frame_.payload, &payload_scratch_)) {

@@ -1,24 +1,44 @@
 #include "pbs/core/set_reconciler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 namespace pbs {
 
+namespace {
+
+ReconcileOutcome FailedOutcome(const char* reason) {
+  ReconcileOutcome outcome;
+  outcome.params_summary = reason;
+  return outcome;
+}
+
+}  // namespace
+
+bool ValidDifferenceEstimate(double d_hat) {
+  return std::isfinite(d_hat) && d_hat >= 0.0 &&
+         d_hat <= kMaxDifferenceEstimate;
+}
+
 ReconcileOutcome SetReconciler::Reconcile(const std::vector<uint64_t>& a,
                                           const std::vector<uint64_t>& b,
                                           double d_hat, uint64_t seed) const {
+  if (!ValidDifferenceEstimate(d_hat)) {
+    return FailedOutcome("d_hat out of range (finite, 0 to 2^19)");
+  }
   const std::unique_ptr<ReconcileInitiator> initiator =
       CreateInitiator(a, d_hat, seed);
   const std::unique_ptr<ReconcileResponder> responder =
       CreateResponder(b, d_hat, seed);
-  if (initiator == nullptr || responder == nullptr) return {};
   std::vector<uint8_t> request, reply;  // Reused across the rounds.
   while (!initiator->done()) {
     initiator->NextRequestInto(&request);
-    if (!responder->HandleRequest(request, &reply) ||
-        !initiator->HandleReply(reply)) {
-      return {};
+    if (!responder->HandleRequest(request, &reply)) {
+      return FailedOutcome("responder rejected a request");
+    }
+    if (!initiator->HandleReply(reply)) {
+      return FailedOutcome("initiator rejected a reply");
     }
   }
   ReconcileOutcome outcome = initiator->TakeOutcome();

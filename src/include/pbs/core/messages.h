@@ -1,11 +1,9 @@
 // Wire-format helpers for PBS protocol messages.
 //
-// Message layouts (all bit-packed; see bitio.h):
+// PBS round message layouts (all bit-packed; see bitio.h). The difference
+// estimate is not part of PBS: the session layer's ESTIMATE_REQ/REPLY
+// frames carry it (docs/WIRE_FORMAT.md).
 //
-//  EstimateRequest  (Alice -> Bob):
-//    varint |A| ; ell counters of ceil(log2(2|A|+1)) bits (zig-zag).
-//  EstimateReply    (Bob -> Alice):
-//    32-bit d_used = ceil(gamma * d-hat).
 //  RoundRequest     (Alice -> Bob), round k:
 //    k >= 2: one settled bit per unit that decoded OK in round k-1;
 //    then, per active unit in canonical order: BCH sketch (t*m bits).

@@ -70,6 +70,16 @@ struct SchemeOptions {
   PbsConfig pbs;
 };
 
+/// Largest difference estimate d-hat a reconciliation accepts (2^19). The
+/// responder engines reject inflated capacities above 2^20 as malformed, so
+/// this leaves 2x headroom for any sane inflation factor. Reconcile() and
+/// the session layer both fail up front on a larger estimate instead of
+/// letting the responder reject the first request.
+inline constexpr double kMaxDifferenceEstimate = static_cast<double>(1 << 19);
+
+/// True if `d_hat` is finite and in [0, kMaxDifferenceEstimate].
+bool ValidDifferenceEstimate(double d_hat);
+
 /// One side's protocol engine for reconciling over a byte stream: the
 /// *initiator* (the paper's Alice) drives a strict ping-pong of opaque
 /// payloads and ultimately learns the difference. Payloads are scheme-
@@ -160,32 +170,29 @@ class SetReconciler {
   ///
   /// Runs the scheme's own initiator over `a` and responder over `b`,
   /// passing payloads between them in memory until the initiator is done:
-  /// a wire session without frames, HELLO or estimate phase. Returns a
-  /// failed outcome if the scheme has no engines or either side rejects a
-  /// message.
+  /// a wire session without frames, HELLO or estimate phase.
+  ///
+  /// `d_hat` must satisfy ValidDifferenceEstimate() (finite, in
+  /// [0, kMaxDifferenceEstimate]), the same bound a wire session enforces;
+  /// otherwise the outcome fails without running the protocol and its
+  /// params_summary names the limit. The outcome also fails, with a
+  /// params_summary saying so, if either side rejects a message.
   ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
                              const std::vector<uint64_t>& b, double d_hat,
                              uint64_t seed) const;
 
   /// Mints the initiator-side engine for one session over `elements` (the
   /// initiator's set A). The scheme applies its inflation policy to
-  /// `d_hat` and derives every random choice from `seed`. Returns nullptr
-  /// if the scheme has no protocol (the session driver then reports an
-  /// error).
+  /// `d_hat` and derives every random choice from `seed`. Never nullptr.
   virtual std::unique_ptr<ReconcileInitiator> CreateInitiator(
-      std::vector<uint64_t> /*elements*/, double /*d_hat*/,
-      uint64_t /*seed*/) const {
-    return nullptr;
-  }
+      std::vector<uint64_t> elements, double d_hat, uint64_t seed) const = 0;
 
-  /// Mints the responder-side engine for one wire session over `elements`
+  /// Mints the responder-side engine for one session over `elements`
   /// (the responder's set B). Protocol parameters the responder cannot
-  /// derive from `d_hat` arrive in the first request payload.
+  /// derive from `d_hat` arrive in the first request payload. Never
+  /// nullptr.
   virtual std::unique_ptr<ReconcileResponder> CreateResponder(
-      std::vector<uint64_t> /*elements*/, double /*d_hat*/,
-      uint64_t /*seed*/) const {
-    return nullptr;
-  }
+      std::vector<uint64_t> elements, double d_hat, uint64_t seed) const = 0;
 
   /// Mints a responder over a published store snapshot
   /// (core/element_store.h): the element vector is shared rather than

@@ -370,12 +370,6 @@ void ShardedCoordinator::StartAttempt(Sub& sub) {
   SetReconciler* maker = sub.alt != nullptr ? sub.alt.get() : reconciler_.get();
   sub.engine = maker->CreateInitiator(sub.elements, sub.d_attempt,
                                       plan_.SubSeed(sub.shard));
-  if (sub.engine == nullptr) {
-    const std::string& name =
-        sub.alt != nullptr ? sub.scheme_name : config_.scheme_name;
-    sub.error = "scheme '" + name + "' has no wire protocol";
-    return;
-  }
   sub.engine->NextRequestInto(&sub.raw);
   sub.StageRequest();
   sub.phase = Sub::kAwaitScheme;
@@ -891,11 +885,6 @@ void ShardedResponderMux::Process(Sub& sub, const SubFrame& frame) {
         }
         sub.engine = maker->CreateResponder(sub.elements, d,
                                             plan_.SubSeed(sub.shard));
-        if (sub.engine == nullptr) {
-          sub.error =
-              "scheme '" + config_.scheme_name + "' has no wire protocol";
-          return;
-        }
       }
       const std::vector<uint8_t> inner(frame.payload.begin() + prefix,
                                        frame.payload.end());

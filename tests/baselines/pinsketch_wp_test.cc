@@ -6,6 +6,7 @@
 
 #include "pbs/core/set_reconciler.h"
 #include "pbs/sim/workload.h"
+#include "test_util.h"
 
 namespace pbs {
 namespace {
@@ -16,22 +17,13 @@ bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
   return got == want;
 }
 
-// Partitioned PinSketch sized for exactly `d_used` differences (gamma = 1;
-// g = ceil(d_used / 5), t from the PBS plan), at most `max_rounds` rounds.
-ReconcileOutcome PinSketchWp(const SetPair& pair, int d_used, int max_rounds,
-                             uint64_t seed, int report_sig_bits = 0) {
-  SchemeOptions options;
-  options.report_sig_bits = report_sig_bits;
-  options.pbs.gamma = 1.0;
-  options.pbs.max_rounds = max_rounds;
-  return SchemeRegistry::Instance()
-      .Create("pinsketch-wp", options)
-      ->Reconcile(pair.a, pair.b, d_used, seed);
-}
+// ReconcileSized sizes the partitioned PinSketch for exactly d_hat
+// differences (gamma = 1; g = ceil(d_hat / 5), t from the PBS plan).
+constexpr const char* kScheme = "pinsketch-wp";
 
 TEST(PinSketchWp, IdenticalSets) {
   SetPair pair = GenerateSetPair(2000, 0, 32, 1);
-  auto out = PinSketchWp(pair, 0, 3, 1);
+  auto out = ReconcileSized(kScheme, pair, PbsConfig{}, 1, 0);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(out.difference.empty());
 }
@@ -45,7 +37,7 @@ TEST_P(PinSketchWpSweep, RecoversDifference) {
   for (int trial = 0; trial < kTrials; ++trial) {
     SetPair pair =
         GenerateSetPair(std::max(2000, 4 * d), d, 32, 13 * d + trial);
-    auto out = PinSketchWp(pair, d, 3, trial);
+    auto out = ReconcileSized(kScheme, pair, PbsConfig{}, trial, d);
     if (out.success) {
       EXPECT_TRUE(Matches(out.difference, pair.truth_diff)) << "d=" << d;
       ++ok;
@@ -63,7 +55,7 @@ TEST(PinSketchWp, CommunicationExceedsPbsMarginRatio) {
   // at least g * 13 * 32 bits.
   const int d = 250;
   SetPair pair = GenerateSetPair(5000, d, 32, 3);
-  auto out = PinSketchWp(pair, d, 3, 3);
+  auto out = ReconcileSized(kScheme, pair, PbsConfig{}, 3, d);
   ASSERT_TRUE(out.success);
   EXPECT_GE(out.data_bytes, static_cast<size_t>(d / 5) * 13 * 32 / 8);
 }
@@ -71,8 +63,8 @@ TEST(PinSketchWp, CommunicationExceedsPbsMarginRatio) {
 TEST(PinSketchWp, ReportSigBitsScalesAccounting) {
   const int d = 100;
   SetPair pair = GenerateSetPair(3000, d, 32, 5);
-  auto out32 = PinSketchWp(pair, d, 3, 5, 0);
-  auto out256 = PinSketchWp(pair, d, 3, 5, 256);
+  auto out32 = ReconcileSized(kScheme, pair, PbsConfig{}, 5, d, 0);
+  auto out256 = ReconcileSized(kScheme, pair, PbsConfig{}, 5, d, 256);
   ASSERT_TRUE(out32.success);
   ASSERT_TRUE(out256.success);
   // Appendix J.3: at 256-bit signatures everything scales by ~8x.
@@ -84,7 +76,9 @@ TEST(PinSketchWp, SplitsHandleOverloadedGroups) {
   // Underestimate d so several groups exceed t; splits must still converge
   // given enough rounds.
   SetPair pair = GenerateSetPair(4000, 120, 32, 7);
-  auto out = PinSketchWp(pair, 30, 8, 7);
+  PbsConfig config;
+  config.max_rounds = 8;
+  auto out = ReconcileSized(kScheme, pair, config, 7, 30);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(Matches(out.difference, pair.truth_diff));
 }

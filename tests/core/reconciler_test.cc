@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "pbs/core/pbs_endpoints.h"
@@ -170,11 +171,16 @@ TEST(Reconciler, PlanExposedInResult) {
   SetPair pair = GenerateSetPair(2000, 100, 32, 47);
   PbsConfig config;
   auto result = ReconcileSized("pbs", pair, config, 53, 100);
+  int g = 0, n = 0, t = 0, d_used = 0;
+  ASSERT_EQ(std::sscanf(result.params_summary.c_str(),
+                        "g=%d n=%d t=%d d_used=%d", &g, &n, &t, &d_used),
+            4)
+      << result.params_summary;
   // d_used = 100 with delta = 5 -> g = 20 groups.
-  EXPECT_NE(result.params_summary.find("g=20 "), std::string::npos)
-      << result.params_summary;
-  EXPECT_NE(result.params_summary.find("d_used=100"), std::string::npos)
-      << result.params_summary;
+  EXPECT_EQ(g, 20);
+  EXPECT_GE(n, 63);
+  EXPECT_GE(t, 1);
+  EXPECT_EQ(d_used, 100);
 }
 
 }  // namespace

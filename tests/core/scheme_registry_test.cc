@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,31 @@ TEST_P(SchemeConformance, ExactRecoveryOnWorkloadShapes) {
     EXPECT_GE(r.encode_seconds, 0.0);
     EXPECT_GE(r.decode_seconds, 0.0);
     EXPECT_FALSE(r.params_summary.empty());
+  }
+}
+
+// Reconcile() holds d_hat to the wire session's bound and says so, instead
+// of letting a responder reject the oversized first request silently.
+TEST_P(SchemeConformance, OutOfRangeEstimateFailsWithReason) {
+  const std::string name = GetParam();
+  const auto scheme =
+      SchemeRegistry::Instance().Create(name, SchemeOptions{});
+  ASSERT_NE(scheme, nullptr);
+  const SetPair pair = GenerateSetPair(500, 5, 32, 0xB16);
+  for (const double d_hat :
+       {2 * kMaxDifferenceEstimate, kMaxDifferenceEstimate + 1, -1.0,
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(name + " d_hat " + std::to_string(d_hat));
+    EXPECT_FALSE(ValidDifferenceEstimate(d_hat));
+    const ReconcileOutcome r = scheme->Reconcile(pair.a, pair.b, d_hat, 3);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.data_bytes, 0u);
+    EXPECT_TRUE(r.difference.empty());
+    EXPECT_NE(r.params_summary.find("d_hat out of range"), std::string::npos)
+        << r.params_summary;
+    EXPECT_NE(r.params_summary.find("2^19"), std::string::npos)
+        << r.params_summary;
   }
 }
 

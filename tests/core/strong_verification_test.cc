@@ -16,15 +16,11 @@ namespace {
 
 TEST(StrongVerification, PassesOnCorrectReconciliation) {
   SetPair pair = GenerateSetPair(3000, 40, 32, 1);
-  SchemeOptions plain;
-  plain.pbs.gamma = 1.0;
-  SchemeOptions strong = plain;
-  strong.pbs.strong_verification = true;
-  auto& registry = SchemeRegistry::Instance();
-  const auto base =
-      registry.Create("pbs", plain)->Reconcile(pair.a, pair.b, 40, 7);
-  const auto result =
-      registry.Create("pbs", strong)->Reconcile(pair.a, pair.b, 40, 7);
+  PbsConfig plain;
+  PbsConfig strong;
+  strong.strong_verification = true;
+  const auto base = ReconcileSized("pbs", pair, plain, 7, 40);
+  const auto result = ReconcileSized("pbs", pair, strong, 7, 40);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.rounds, base.rounds);
   // The epilogue costs exactly one 24-byte digest message.

@@ -14,13 +14,15 @@ namespace pbs {
 
 /// Runs registry scheme `scheme` on `pair` with `config` and gamma = 1, so
 /// a scheme that inflates its estimate is sized for exactly `d_hat` (PBS:
-/// d_used = d_hat; PinSketch: t = d_hat).
+/// d_used = d_hat; PinSketch: t = d_hat). A nonzero `report_sig_bits`
+/// turns on the Appendix J.3 wide-signature accounting.
 inline ReconcileOutcome ReconcileSized(const char* scheme, const SetPair& pair,
                                        PbsConfig config, uint64_t seed,
-                                       int d_hat) {
+                                       int d_hat, int report_sig_bits = 0) {
   SchemeOptions options;
   config.gamma = 1.0;
   options.sig_bits = config.sig_bits;
+  options.report_sig_bits = report_sig_bits;
   options.pbs = config;
   return SchemeRegistry::Instance().Create(scheme, options)->Reconcile(
       pair.a, pair.b, d_hat, seed);
