@@ -7,10 +7,10 @@
 #include <cstring>
 #include <utility>
 
+#include "core/session_role.h"
 #include "pbs/common/bitio.h"
 #include "pbs/estimator/tow.h"
-#include "pbs/sync/merkle_prefilter.h"
-#include "pbs/sync/sharded_session.h"
+#include "pbs/sync/shard_planner.h"
 
 namespace pbs {
 
@@ -19,18 +19,6 @@ namespace {
 using wire::FrameStatus;
 using wire::FrameType;
 using wire::WireFrame;
-
-uint64_t DoubleBits(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double BitsToDouble(uint64_t bits) {
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
 
 const char* StatusName(FrameStatus status) {
   switch (status) {
@@ -43,8 +31,6 @@ const char* StatusName(FrameStatus status) {
   }
   return "unknown";
 }
-
-// ------------------------------------------------------------ handshake --
 
 constexpr uint8_t kHelloHasExactD = 1u << 0;
 constexpr uint8_t kHelloStrongVerification = 1u << 1;
@@ -102,6 +88,432 @@ bool ValidateSessionConfig(const SessionConfig& config, std::string* error) {
   }
   return true;
 }
+
+bool DecodeDone(const std::vector<uint8_t>& payload, bool* success,
+                int* rounds) {
+  BitReader r(payload);
+  *success = r.ReadBits(8) != 0;
+  *rounds = static_cast<int>(r.ReadBits(32));
+  r.ReadBits(64);  // Recovered-difference cardinality (informational).
+  return !r.overflowed();
+}
+
+std::string ErrorText(const WireFrame& frame) {
+  return std::string(frame.payload.begin(), frame.payload.end());
+}
+
+// Per-direction cap on one UPDATE batch, mirroring the d_used cap: the
+// counts size the responder's decode buffers before validation finishes.
+constexpr uint64_t kMaxUpdateBatch = 1u << 20;
+
+// UPDATE payload: varint insert count, varint delete count, then each
+// element as 64 bits (inserts first). The whole payload must parse and the
+// counts must match the payload size exactly before anything is applied —
+// a truncated or padded frame is rejected with no store mutation at all.
+void EncodeUpdate(const UpdateBatch& batch, BitWriter* w) {
+  w->Clear();
+  w->WriteVarint(batch.inserts.size());
+  w->WriteVarint(batch.deletes.size());
+  for (uint64_t e : batch.inserts) w->WriteBits(e, 64);
+  for (uint64_t e : batch.deletes) w->WriteBits(e, 64);
+}
+
+bool DecodeUpdate(const std::vector<uint8_t>& payload, UpdateBatch* batch) {
+  BitReader r(payload);
+  const uint64_t n_inserts = r.ReadVarint();
+  const uint64_t n_deletes = r.ReadVarint();
+  if (r.overflowed() || n_inserts > kMaxUpdateBatch ||
+      n_deletes > kMaxUpdateBatch ||
+      (n_inserts + n_deletes) * 64 > r.remaining_bits()) {
+    return false;
+  }
+  batch->inserts.clear();
+  batch->deletes.clear();
+  batch->inserts.reserve(n_inserts);
+  batch->deletes.reserve(n_deletes);
+  for (uint64_t i = 0; i < n_inserts; ++i) {
+    batch->inserts.push_back(r.ReadBits(64));
+  }
+  for (uint64_t i = 0; i < n_deletes; ++i) {
+    batch->deletes.push_back(r.ReadBits(64));
+  }
+  // Anything beyond byte-rounding slack is a length/content mismatch.
+  return !r.overflowed() && r.remaining_bits() < 8;
+}
+
+// UPDATE_ACK payload: published epoch, then applied/rejected counts.
+constexpr size_t kUpdateAckBits = 64 + 4 * 32;
+
+// ------------------------------------------------------------------ roles --
+
+// Monolithic initiator: HELLO, the optional ToW estimate exchange, the
+// scheme's request/reply rounds, then DONE.
+class MonoInitiator final : public SessionRole {
+ public:
+  MonoInitiator(SessionEngine& core, const SessionConfig& config,
+                SessionEngine::SharedElements elements,
+                const SchemeRegistry& registry)
+      : config_(config),
+        elements_(std::move(elements)),
+        reconciler_(registry.Create(config.scheme_name, config.options)) {
+    if (reconciler_ == nullptr) {
+      Fail(core, UnknownScheme(config_.scheme_name));
+      return;
+    }
+    Send(core, FrameType::kHello, 0, EncodeHello(config_), "sending HELLO");
+  }
+
+  void OnFrame(SessionEngine& core, const WireFrame& frame) override {
+    switch (state_) {
+      case State::kAwaitHelloAck:
+        if (frame.type != FrameType::kHelloAck) {
+          Fail(core, "expected HELLO_ACK");
+        } else if (config_.exact_d >= 0.0) {
+          Result(core).d_hat = d_hat_ = config_.exact_d;
+          StartSchemePhase(core);
+        } else {
+          SendEstimateRequest(core, config_, *elements_, &estimator_bytes_);
+          state_ = State::kAwaitEstimateReply;
+        }
+        return;
+      case State::kAwaitEstimateReply:
+        if (ReadEstimateReply(core, frame, &d_hat_, &estimator_bytes_)) {
+          StartSchemePhase(core);
+        }
+        return;
+      case State::kAwaitSchemeReply:
+        OnSchemeReply(core, frame);
+        return;
+      case State::kAwaitDoneAck:
+        OnDoneAck(core, frame);
+        return;
+    }
+  }
+
+  const char* phase() const override {
+    switch (state_) {
+      case State::kAwaitHelloAck: return "awaiting HELLO_ACK";
+      case State::kAwaitEstimateReply: return "awaiting estimate reply";
+      case State::kAwaitSchemeReply: return "awaiting scheme reply";
+      case State::kAwaitDoneAck: return "awaiting DONE ack";
+    }
+    return "unknown";
+  }
+
+  const char* peer_error_prefix() const override {
+    return state_ == State::kAwaitHelloAck ? "responder rejected: "
+                                           : "responder error: ";
+  }
+
+ private:
+  enum class State {
+    kAwaitHelloAck,
+    kAwaitEstimateReply,
+    kAwaitSchemeReply,
+    kAwaitDoneAck,
+  };
+
+  void StartSchemePhase(SessionEngine& core) {
+    engine_ = reconciler_->CreateInitiator(*elements_, d_hat_, config_.seed);
+    state_ = State::kAwaitSchemeReply;
+    EmitNextRequest(core);
+  }
+
+  void EmitNextRequest(SessionEngine& core) {
+    ++exchange_;
+    engine_->NextRequestInto(&payload_);
+    Send(core, FrameType::kSchemeRequest, exchange_, payload_,
+         "sending round request");
+  }
+
+  void OnSchemeReply(SessionEngine& core, const WireFrame& frame) {
+    if (frame.type != FrameType::kSchemeReply) {
+      Fail(core, "expected SCHEME_REPLY");
+      return;
+    }
+    if (!engine_->HandleReply(frame.payload)) {
+      Reject(core, "malformed scheme reply");
+      return;
+    }
+    if (!engine_->done()) {
+      EmitNextRequest(core);
+      return;
+    }
+    SessionResult& result = Result(core);
+    result.outcome = engine_->TakeOutcome();
+    result.outcome.estimator_bytes += estimator_bytes_;
+    SendDone(core, exchange_);
+    state_ = State::kAwaitDoneAck;
+  }
+
+  State state_ = State::kAwaitHelloAck;
+  SessionConfig config_;
+  SessionEngine::SharedElements elements_;
+  std::unique_ptr<SetReconciler> reconciler_;
+  std::unique_ptr<ReconcileInitiator> engine_;
+  double d_hat_ = -1.0;
+  uint32_t exchange_ = 0;
+  size_t estimator_bytes_ = 0;
+  std::vector<uint8_t> payload_;  // Reused request payload.
+};
+
+// Writer side of an UPDATE session: one kUpdate frame per batch in strict
+// ping-pong with kUpdateAck, then DONE.
+class UpdateWriter final : public SessionRole {
+ public:
+  UpdateWriter(SessionEngine& core, std::vector<UpdateBatch> batches)
+      : batches_(std::move(batches)) {
+    if (batches_.empty()) {
+      Finish(core);  // Nothing to send: go straight to DONE.
+    } else {
+      EmitNextUpdate(core);
+    }
+  }
+
+  void OnFrame(SessionEngine& core, const WireFrame& frame) override {
+    if (done_sent_) {
+      OnDoneAck(core, frame);
+      return;
+    }
+    if (frame.type != FrameType::kUpdateAck) {
+      Fail(core, "expected UPDATE_ACK");
+      return;
+    }
+    BitReader r(frame.payload);
+    epoch_ = r.ReadBits(64);
+    inserted_ += static_cast<uint32_t>(r.ReadBits(32));
+    deleted_ += static_cast<uint32_t>(r.ReadBits(32));
+    rejected_ += static_cast<uint32_t>(r.ReadBits(32));
+    rejected_ += static_cast<uint32_t>(r.ReadBits(32));
+    if (r.overflowed()) {
+      Fail(core, "malformed UPDATE_ACK");
+      return;
+    }
+    if (++batch_pos_ < batches_.size()) {
+      EmitNextUpdate(core);
+    } else {
+      Finish(core);
+    }
+  }
+
+  const char* phase() const override {
+    return done_sent_ ? "awaiting DONE ack" : "awaiting UPDATE_ACK";
+  }
+
+ private:
+  void EmitNextUpdate(SessionEngine& core) {
+    ++exchange_;
+    BitWriter w;
+    EncodeUpdate(batches_[batch_pos_], &w);
+    Send(core, FrameType::kUpdate, exchange_, w.bytes().data(), w.byte_size(),
+         "sending update");
+  }
+
+  void Finish(SessionEngine& core) {
+    ReconcileOutcome& outcome = Result(core).outcome;
+    outcome.success = true;
+    outcome.rounds = static_cast<int>(batch_pos_);
+    char summary[96];
+    std::snprintf(summary, sizeof(summary),
+                  "epoch=%llu inserted=%u deleted=%u rejected=%u",
+                  static_cast<unsigned long long>(epoch_), inserted_,
+                  deleted_, rejected_);
+    outcome.params_summary = summary;
+    SendDone(core, exchange_);
+    done_sent_ = true;
+  }
+
+  std::vector<UpdateBatch> batches_;
+  size_t batch_pos_ = 0;
+  uint32_t exchange_ = 0;
+  bool done_sent_ = false;
+  // Cumulative UPDATE_ACK accounting.
+  uint64_t epoch_ = 0;
+  uint32_t inserted_ = 0;
+  uint32_t deleted_ = 0;
+  uint32_t rejected_ = 0;
+};
+
+// Monolithic responder, installed by HELLO: serves the estimate request
+// and the scheme's rounds until DONE.
+class MonoResponder final : public SessionRole {
+ public:
+  static std::unique_ptr<SessionRole> Accept(SessionEngine& core,
+                                             const WireFrame& hello,
+                                             ServeContext& serve) {
+    SessionConfig config = serve.config;
+    if (!DecodeHello(hello.payload, &config)) {
+      Reject(core, "malformed HELLO");
+      return nullptr;
+    }
+    SetScheme(core, config.scheme_name);
+    auto reconciler =
+        serve.registry->Create(config.scheme_name, config.options);
+    if (reconciler == nullptr) {
+      Reject(core, UnknownScheme(config.scheme_name));
+      return nullptr;
+    }
+    Send(core, FrameType::kHelloAck, 0, nullptr, 0, "sending ack");
+    return std::unique_ptr<SessionRole>(
+        new MonoResponder(std::move(config), serve, std::move(reconciler)));
+  }
+
+  void OnFrame(SessionEngine& core, const WireFrame& frame) override {
+    switch (frame.type) {
+      case FrameType::kEstimateRequest:
+        ServeEstimate(core, frame, config_, *elements_, &d_hat_);
+        return;
+      case FrameType::kSchemeRequest:
+        OnSchemeRequest(core, frame);
+        return;
+      case FrameType::kDone:
+        ServeDone(core, frame, d_hat_, 0);
+        return;
+      default:
+        Reject(core, "unexpected frame");
+        return;
+    }
+  }
+
+  const char* phase() const override { return "serving"; }
+
+ private:
+  MonoResponder(SessionConfig config, const ServeContext& serve,
+                std::unique_ptr<SetReconciler> reconciler)
+      : config_(std::move(config)),
+        elements_(serve.elements),
+        snapshot_(serve.snapshot),
+        reconciler_(std::move(reconciler)),
+        d_hat_(config_.exact_d) {}  // -1 until the estimate phase runs.
+
+  void OnSchemeRequest(SessionEngine& core, const WireFrame& frame) {
+    if (engine_ == nullptr) {
+      if (d_hat_ < 0.0) {
+        Reject(core, "scheme round before estimate");
+        return;
+      }
+      if (snapshot_ != nullptr) {
+        // Snapshot fast path: schemes that can adopt the store's pre-built
+        // sketch state skip the per-session O(|B|) rebuild. nullptr means
+        // "no fast path"; fall through to the classic copying responder.
+        engine_ = reconciler_->CreateSnapshotResponder(snapshot_, d_hat_,
+                                                       config_.seed);
+      }
+      if (engine_ == nullptr) {
+        engine_ =
+            reconciler_->CreateResponder(*elements_, d_hat_, config_.seed);
+      }
+    }
+    if (!engine_->HandleRequest(frame.payload, &payload_)) {
+      Reject(core, "malformed scheme request");
+      return;
+    }
+    Send(core, FrameType::kSchemeReply, frame.round, payload_,
+         "sending reply");
+  }
+
+  SessionConfig config_;
+  SessionEngine::SharedElements elements_;
+  // Pins this session's view of a mutable store (and carries the
+  // adoptable pre-built layout); null for a plain element set.
+  std::shared_ptr<const StoreSnapshot> snapshot_;
+  std::unique_ptr<SetReconciler> reconciler_;
+  std::unique_ptr<ReconcileResponder> engine_;
+  double d_hat_;
+  std::vector<uint8_t> payload_;  // Reused reply payload.
+};
+
+// Update responder, installed by UPDATE: applies each batch to the store.
+class UpdateResponder final : public SessionRole {
+ public:
+  static std::unique_ptr<SessionRole> Accept(SessionEngine& core,
+                                             const WireFrame& first,
+                                             ServeContext& serve) {
+    if (serve.store == nullptr) {
+      Reject(core, "server is read-only", "update on read-only server");
+      return nullptr;
+    }
+    Result(core).scheme = "update";
+    std::unique_ptr<SessionRole> role(new UpdateResponder(serve.store));
+    role->OnFrame(core, first);
+    return role;
+  }
+
+  void OnFrame(SessionEngine& core, const WireFrame& frame) override {
+    if (frame.type == FrameType::kDone) {
+      ServeDone(core, frame, 0.0, 0);
+      return;
+    }
+    if (frame.type != FrameType::kUpdate) {
+      Reject(core, "unexpected frame");
+      return;
+    }
+    if (!DecodeUpdate(frame.payload, &batch_)) {
+      // Nothing was applied: DecodeUpdate validates the entire payload
+      // before the store is touched.
+      Reject(core, "malformed UPDATE");
+      return;
+    }
+    const ApplyResult applied = store_->Apply(batch_);
+    BitWriter w;
+    w.WriteBits(applied.epoch, 64);
+    w.WriteBits(applied.inserted, 32);
+    w.WriteBits(applied.deleted, 32);
+    w.WriteBits(applied.rejected_inserts, 32);
+    w.WriteBits(applied.rejected_deletes, 32);
+    static_assert(kUpdateAckBits == 64 + 4 * 32, "ack layout drifted");
+    Send(core, FrameType::kUpdateAck, frame.round, w.bytes().data(),
+         w.byte_size(), "sending update ack");
+  }
+
+  const char* phase() const override { return "serving"; }
+
+ private:
+  explicit UpdateResponder(std::shared_ptr<MutableElementStore> store)
+      : store_(std::move(store)) {}
+
+  std::shared_ptr<MutableElementStore> store_;
+  UpdateBatch batch_;  // Reused decode target.
+};
+
+// A responder before the peer's first frame, which picks its role.
+class Accepting final : public SessionRole {
+ public:
+  explicit Accepting(ServeContext serve) : serve_(std::move(serve)) {}
+
+  void OnFrame(SessionEngine& core, const WireFrame& frame) override {
+    std::unique_ptr<SessionRole> role;
+    switch (frame.type) {
+      case FrameType::kHello:
+        role = MonoResponder::Accept(core, frame, serve_);
+        break;
+      case FrameType::kUpdate:
+        role = UpdateResponder::Accept(core, frame, serve_);
+        break;
+      case FrameType::kShardPlan:
+      case FrameType::kResume:
+        role = sync::AcceptShardedSession(core, frame, serve_);
+        break;
+      default:
+        Reject(core, "expected HELLO");
+        return;
+    }
+    if (role != nullptr) Install(core, std::move(role));  // Destroys *this.
+  }
+
+  const char* phase() const override { return "awaiting HELLO"; }
+
+ private:
+  ServeContext serve_;
+};
+
+const SchemeRegistry& Resolve(const SchemeRegistry* registry) {
+  return registry != nullptr ? *registry : SchemeRegistry::Instance();
+}
+
+}  // namespace
+
+// ------------------------------------------------------------ codecs --
 
 std::vector<uint8_t> EncodeHello(const SessionConfig& config) {
   BitWriter w;
@@ -170,7 +582,6 @@ bool DecodeHello(const std::vector<uint8_t>& payload, SessionConfig* config) {
   return true;
 }
 
-// DONE summary: success flag, rounds, recovered-difference cardinality.
 std::vector<uint8_t> EncodeDone(const ReconcileOutcome& outcome) {
   BitWriter w;
   w.WriteBits(outcome.success ? 1 : 0, 8);
@@ -179,185 +590,132 @@ std::vector<uint8_t> EncodeDone(const ReconcileOutcome& outcome) {
   return w.TakeBytes();
 }
 
-bool DecodeDone(const std::vector<uint8_t>& payload, bool* success,
-                int* rounds, uint64_t* diff_size) {
-  BitReader r(payload);
-  *success = r.ReadBits(8) != 0;
-  *rounds = static_cast<int>(r.ReadBits(32));
-  *diff_size = r.ReadBits(64);
-  return !r.overflowed();
+// ---------------------------------------------------- role-facing core --
+
+void SessionRole::Send(SessionEngine& core, FrameType type, uint32_t round,
+                       const uint8_t* payload, size_t size, const char* label) {
+  core.AppendOutbound(type, round, payload, size, label);
 }
 
-std::string ErrorText(const WireFrame& frame) {
-  return std::string(frame.payload.begin(), frame.payload.end());
+void SessionRole::Fail(SessionEngine& core, std::string error) {
+  core.Fail(std::move(error));
 }
 
-// ---------------------------------------------------------------- sharded --
-
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v & 0xFF));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+void SessionRole::Reject(SessionEngine& core, const std::string& told_peer,
+                         std::string error) {
+  core.Reject(told_peer, std::move(error));
 }
 
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int b = 0; b < 8; ++b) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * b)));
+void SessionRole::Settle(SessionEngine& core) { core.Settle(); }
+
+SessionResult& SessionRole::Result(SessionEngine& core) { return core.result_; }
+
+void SessionRole::SetScheme(SessionEngine& core, const std::string& name) {
+  core.result_.scheme = name;
+  core.scheme_id_ = wire::SchemeWireId(name);
+}
+
+void SessionRole::Install(SessionEngine& core,
+                          std::unique_ptr<SessionRole> role) {
+  core.role_ = std::move(role);
+}
+
+void SessionRole::SendDone(SessionEngine& core, uint32_t round) {
+  Send(core, FrameType::kDone, round, EncodeDone(core.result_.outcome),
+       "sending DONE");
+}
+
+void SessionRole::OnDoneAck(SessionEngine& core, const WireFrame& frame) {
+  if (frame.type != FrameType::kDone) {
+    Fail(core, "expected DONE ack");
+    return;
   }
+  core.result_.ok = true;
+  Settle(core);
 }
 
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
+void SessionRole::SendEstimateRequest(SessionEngine& core,
+                                      const SessionConfig& config,
+                                      const std::vector<uint64_t>& elements,
+                                      size_t* estimator_bytes) {
+  TowSketch sketch(config.options.pbs.ell, config.estimate_seed);
+  sketch.AddAll(elements);
+  BitWriter w;
+  w.WriteBits(elements.size(), 64);
+  sketch.Serialize(&w, elements.size());
+  *estimator_bytes += w.byte_size();
+  Send(core, FrameType::kEstimateRequest, 0, w.bytes().data(), w.byte_size(),
+       "sending estimate");
 }
 
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<uint64_t>(p[b]) << (8 * b);
-  return v;
-}
-
-// SHARD_PLAN payload: u16 proposed shard count (LE), u64 Merkle root of
-// the initiator's per-shard digests (LE), then the HELLO payload
-// verbatim (docs/WIRE_FORMAT.md section 2.5).
-std::vector<uint8_t> EncodeShardPlan(int shards, uint64_t root,
-                                     const std::vector<uint8_t>& hello) {
-  std::vector<uint8_t> payload;
-  payload.reserve(10 + hello.size());
-  PutU16(static_cast<uint16_t>(shards), &payload);
-  PutU64(root, &payload);
-  payload.insert(payload.end(), hello.begin(), hello.end());
-  return payload;
-}
-
-bool DecodeShardPlanHeader(const std::vector<uint8_t>& payload, int* shards,
-                           uint64_t* root, std::vector<uint8_t>* hello) {
-  if (payload.size() < 10) return false;
-  *shards = GetU16(payload.data());
-  *root = GetU64(payload.data() + 2);
-  hello->assign(payload.begin() + 10, payload.end());
+bool SessionRole::ReadEstimateReply(SessionEngine& core,
+                                    const WireFrame& frame, double* d_hat,
+                                    size_t* estimator_bytes) {
+  if (frame.type != FrameType::kEstimateReply) {
+    Fail(core, "expected ESTIMATE_REPLY");
+    return false;
+  }
+  *estimator_bytes += frame.payload.size();
+  BitReader r(frame.payload);
+  *d_hat = BitsToDouble(r.ReadBits(64));
+  if (r.overflowed() || !std::isfinite(*d_hat) || *d_hat < 0.0) {
+    Fail(core, "malformed estimate reply");
+    return false;
+  }
+  if (*d_hat > kMaxDifferenceEstimate) {
+    Fail(core,
+         "difference estimate exceeds wire session capacity (d-hat > 2^19)");
+    return false;
+  }
+  core.result_.d_hat = *d_hat;
   return true;
 }
 
-// SHARD_PLAN_ACK payload: u16 accepted shard count, u64 responder root.
-std::vector<uint8_t> EncodeShardPlanAck(int accepted, uint64_t root) {
-  std::vector<uint8_t> payload;
-  payload.reserve(10);
-  PutU16(static_cast<uint16_t>(accepted), &payload);
-  PutU64(root, &payload);
-  return payload;
+void SessionRole::ServeEstimate(SessionEngine& core, const WireFrame& frame,
+                                const SessionConfig& config,
+                                const std::vector<uint64_t>& elements,
+                                double* d_hat) {
+  BitReader r(frame.payload);
+  const uint64_t remote_size = r.ReadBits(64);
+  // remote_size sets the per-counter width ceil(log2(2n+1)); cap it so a
+  // hostile value cannot push the width past 64 bits (UB in ReadBits) —
+  // real sets are orders of magnitude below this.
+  if (remote_size > (uint64_t{1} << 48)) {
+    Reject(core, "malformed estimate request");
+    return;
+  }
+  TowSketch remote = TowSketch::Deserialize(&r, config.options.pbs.ell,
+                                            config.estimate_seed, remote_size);
+  if (r.overflowed()) {
+    Reject(core, "malformed estimate request");
+    return;
+  }
+  TowSketch local(config.options.pbs.ell, config.estimate_seed);
+  local.AddAll(elements);
+  *d_hat = TowSketch::Estimate(remote, local);
+  BitWriter w;
+  w.WriteBits(DoubleBits(*d_hat), 64);
+  Send(core, FrameType::kEstimateReply, 0, w.bytes().data(), w.byte_size(),
+       "sending estimate");
 }
 
-// RESUME payload: u16 negotiated shard count, u64 responder root the
-// initiator saw before the disconnect, u16 pending count, pending count
-// x (u16 shard, u8 last attempt) ascending, then the HELLO payload
-// verbatim (docs/WIRE_FORMAT.md section 2.6). Only the ladder positions
-// travel; settled differences stay banked on the client.
-std::vector<uint8_t> EncodeResume(const sync::ShardResumeState& token,
-                                  const std::vector<uint8_t>& hello) {
-  std::vector<uint8_t> payload;
-  payload.reserve(12 + token.pending.size() * 3 + hello.size());
-  PutU16(static_cast<uint16_t>(token.shard_count), &payload);
-  PutU64(token.remote_root, &payload);
-  PutU16(static_cast<uint16_t>(token.pending.size()), &payload);
-  for (const auto& p : token.pending) {
-    PutU16(static_cast<uint16_t>(p.shard), &payload);
-    payload.push_back(p.attempt);
+void SessionRole::ServeDone(SessionEngine& core, const WireFrame& frame,
+                            double d_hat, int degraded_shards) {
+  bool success = false;
+  int rounds = 0;
+  if (!DecodeDone(frame.payload, &success, &rounds)) {
+    Fail(core, "malformed DONE");
+    return;
   }
-  payload.insert(payload.end(), hello.begin(), hello.end());
-  return payload;
+  Send(core, FrameType::kDone, frame.round, nullptr, 0, "sending ack");
+  SessionResult& result = core.result_;
+  result.ok = true;
+  result.d_hat = d_hat < 0.0 ? 0.0 : d_hat;
+  result.outcome.success = success;
+  result.outcome.rounds = rounds;
+  result.degraded_shards = degraded_shards;
+  Settle(core);
 }
-
-bool DecodeResumeHeader(const std::vector<uint8_t>& payload, int* shards,
-                        uint64_t* root,
-                        std::vector<std::pair<uint32_t, uint8_t>>* entries,
-                        std::vector<uint8_t>* hello) {
-  if (payload.size() < 12) return false;
-  *shards = GetU16(payload.data());
-  *root = GetU64(payload.data() + 2);
-  const size_t count = GetU16(payload.data() + 10);
-  if (payload.size() < 12 + count * 3) return false;
-  entries->clear();
-  entries->reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const uint8_t* p = payload.data() + 12 + i * 3;
-    entries->emplace_back(GetU16(p), p[2]);
-  }
-  hello->assign(payload.begin() + 12 + count * 3, payload.end());
-  return true;
-}
-
-// Resume tokens come from a prior session of this same binary, but the
-// driver may hold them across reconnects; reject anything that could not
-// have been produced by a sane coordinator before trusting it with a
-// wire frame. Attempt counters beyond this bound cannot advance without
-// overflowing the 7-bit attempt field (the top bit flags a scheme
-// override).
-constexpr int kMaxResumeAttempt = 120;
-
-bool ValidResumeToken(const sync::ShardResumeState& token) {
-  if (token.shard_count < sync::kMinKeyspaceShards ||
-      token.shard_count > sync::kMaxKeyspaceShards) {
-    return false;
-  }
-  if (token.pending.size() > static_cast<size_t>(token.shard_count)) {
-    return false;
-  }
-  uint32_t prev = 0;
-  bool first = true;
-  for (const auto& p : token.pending) {
-    if (p.shard >= static_cast<uint32_t>(token.shard_count)) return false;
-    if (p.attempt > kMaxResumeAttempt) return false;
-    if (!first && p.shard <= prev) return false;
-    prev = p.shard;
-    first = false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------- update --
-
-// Per-direction cap on one UPDATE batch, mirroring the d_used cap: the
-// counts size the responder's decode buffers before validation finishes.
-constexpr uint64_t kMaxUpdateBatch = 1u << 20;
-
-// UPDATE payload: varint insert count, varint delete count, then each
-// element as 64 bits (inserts first). The whole payload must parse and the
-// counts must match the payload size exactly before anything is applied —
-// a truncated or padded frame is rejected with no store mutation at all.
-void EncodeUpdate(const UpdateBatch& batch, BitWriter* w) {
-  w->Clear();
-  w->WriteVarint(batch.inserts.size());
-  w->WriteVarint(batch.deletes.size());
-  for (uint64_t e : batch.inserts) w->WriteBits(e, 64);
-  for (uint64_t e : batch.deletes) w->WriteBits(e, 64);
-}
-
-bool DecodeUpdate(const std::vector<uint8_t>& payload, UpdateBatch* batch) {
-  BitReader r(payload);
-  const uint64_t n_inserts = r.ReadVarint();
-  const uint64_t n_deletes = r.ReadVarint();
-  if (r.overflowed() || n_inserts > kMaxUpdateBatch ||
-      n_deletes > kMaxUpdateBatch ||
-      (n_inserts + n_deletes) * 64 > r.remaining_bits()) {
-    return false;
-  }
-  batch->inserts.clear();
-  batch->deletes.clear();
-  batch->inserts.reserve(n_inserts);
-  batch->deletes.reserve(n_deletes);
-  for (uint64_t i = 0; i < n_inserts; ++i) {
-    batch->inserts.push_back(r.ReadBits(64));
-  }
-  for (uint64_t i = 0; i < n_deletes; ++i) {
-    batch->deletes.push_back(r.ReadBits(64));
-  }
-  // Anything beyond byte-rounding slack is a length/content mismatch.
-  return !r.overflowed() && r.remaining_bits() < 8;
-}
-
-// UPDATE_ACK payload: published epoch, then applied/rejected counts.
-constexpr size_t kUpdateAckBits = 64 + 4 * 32;
-
-}  // namespace
 
 // ------------------------------------------------------------ lifecycle --
 
@@ -373,8 +731,22 @@ SessionEngine SessionEngine::Initiator(const SessionConfig& config,
 SessionEngine SessionEngine::Initiator(const SessionConfig& config,
                                        SharedElements elements,
                                        const SchemeRegistry* registry) {
-  return SessionEngine(/*is_initiator=*/true, config, std::move(elements),
-                       registry);
+  SessionEngine engine(/*is_initiator=*/true, config.phase_deadline_ms);
+  engine.result_.scheme = config.scheme_name;
+  engine.scheme_id_ = wire::SchemeWireId(config.scheme_name);
+  std::string config_error;
+  if (!ValidateSessionConfig(config, &config_error)) {
+    engine.Fail(std::move(config_error));
+  } else if (config.resume != nullptr ||
+             config.keyspace_shards >= sync::kMinKeyspaceShards) {
+    engine.role_ = sync::StartShardedInitiator(engine, config,
+                                               std::move(elements),
+                                               Resolve(registry));
+  } else {
+    engine.role_ = std::make_unique<MonoInitiator>(
+        engine, config, std::move(elements), Resolve(registry));
+  }
+  return engine;
 }
 
 SessionEngine SessionEngine::Responder(std::vector<uint64_t> elements,
@@ -392,11 +764,14 @@ SessionEngine SessionEngine::Responder(SharedElements elements,
 SessionEngine SessionEngine::Responder(const SessionConfig& local_config,
                                        SharedElements elements,
                                        const SchemeRegistry* registry) {
-  // The HELLO decode overwrites every wire-carried field of config_;
-  // side-local knobs (decode_threads) are simply never written by it, so
-  // seeding config_ here is all that "honoring local defaults" takes.
-  return SessionEngine(/*is_initiator=*/false, local_config,
-                       std::move(elements), registry);
+  SessionEngine engine(/*is_initiator=*/false, local_config.phase_deadline_ms);
+  // The HELLO decode overwrites every wire-carried field of the local
+  // config; side-local knobs (decode_threads, keyspace_shards) are never
+  // written by it, so seeding the role with it is all that "honoring
+  // local defaults" takes.
+  engine.role_ = std::make_unique<Accepting>(ServeContext{
+      local_config, std::move(elements), nullptr, nullptr, &Resolve(registry)});
+  return engine;
 }
 
 SessionEngine SessionEngine::Responder(
@@ -404,76 +779,30 @@ SessionEngine SessionEngine::Responder(
     std::shared_ptr<const StoreSnapshot> snapshot,
     std::shared_ptr<MutableElementStore> store,
     const SchemeRegistry* registry) {
-  SessionEngine engine(/*is_initiator=*/false, local_config,
-                       snapshot != nullptr ? snapshot->elements : nullptr,
-                       registry);
-  engine.snapshot_ = std::move(snapshot);
-  engine.store_ = std::move(store);
+  SessionEngine engine(/*is_initiator=*/false, local_config.phase_deadline_ms);
+  SharedElements elements = snapshot != nullptr ? snapshot->elements : nullptr;
+  engine.role_ = std::make_unique<Accepting>(
+      ServeContext{local_config, std::move(elements), std::move(snapshot),
+                   std::move(store), &Resolve(registry)});
   return engine;
 }
 
 SessionEngine SessionEngine::Updater(std::vector<UpdateBatch> batches,
-                                     const SchemeRegistry* registry) {
-  // Built through the responder-shaped ctor (no HELLO, no reconciler),
-  // then flipped to the initiating role: the updater speaks only
-  // kUpdate/kUpdateAck/kDone and needs neither a scheme nor elements.
-  SessionEngine engine(/*is_initiator=*/false, SessionConfig(), nullptr,
-                       registry);
-  engine.is_initiator_ = true;
-  engine.is_updater_ = true;
+                                     const SchemeRegistry* /*registry*/) {
+  SessionEngine engine(/*is_initiator=*/true, /*phase_deadline_ms=*/0);
   engine.result_.scheme = "update";
-  engine.batches_ = std::move(batches);
-  if (engine.batches_.empty()) {
-    engine.FinishUpdater();  // Nothing to send: go straight to DONE.
-  } else {
-    engine.EmitNextUpdate();
-  }
+  engine.role_ = std::make_unique<UpdateWriter>(engine, std::move(batches));
   return engine;
 }
 
-SessionEngine::SessionEngine(bool is_initiator, const SessionConfig& config,
-                             SharedElements elements,
-                             const SchemeRegistry* registry)
+SessionEngine::SessionEngine(bool is_initiator, int phase_deadline_ms)
     : is_initiator_(is_initiator),
-      state_(is_initiator ? State::kAwaitHelloAck : State::kAwaitHello),
-      config_(config),
-      elements_(std::move(elements)),
-      registry_(registry) {
-  phase_start_ = std::chrono::steady_clock::now();
-  if (!is_initiator_) return;
-
-  result_.scheme = config_.scheme_name;
-  scheme_id_ = wire::SchemeWireId(config_.scheme_name);
-  std::string config_error;
-  if (!ValidateSessionConfig(config_, &config_error)) {
-    Fail(std::move(config_error));
-    return;
-  }
-  reconciler_ = this->registry().Create(config_.scheme_name, config_.options);
-  if (!reconciler_) {
-    Fail("unknown scheme '" + config_.scheme_name + "'");
-    return;
-  }
-  if (config_.resume != nullptr) {
-    StartResumedInitiator();
-    return;
-  }
-  if (config_.keyspace_shards >= sync::kMinKeyspaceShards) {
-    StartShardedInitiator();
-    return;
-  }
-  const std::vector<uint8_t> hello = EncodeHello(config_);
-  AppendOutbound(FrameType::kHello, 0, hello.data(), hello.size(),
-                 "sending HELLO");
-}
+      phase_deadline_ms_(phase_deadline_ms),
+      phase_start_(std::chrono::steady_clock::now()) {}
 
 SessionEngine::~SessionEngine() = default;
 SessionEngine::SessionEngine(SessionEngine&&) noexcept = default;
 SessionEngine& SessionEngine::operator=(SessionEngine&&) noexcept = default;
-
-const SchemeRegistry& SessionEngine::registry() const {
-  return registry_ != nullptr ? *registry_ : SchemeRegistry::Instance();
-}
 
 // ---------------------------------------------------------------- status --
 
@@ -481,37 +810,23 @@ SessionStatus SessionEngine::Status() const {
   // Outbound bytes drain first even when the session already settled or
   // failed: a queued ERROR/DONE frame should still reach the peer.
   if (out_pos_ < outbound_.size()) return SessionStatus::kWantWrite;
-  if (state_ == State::kSettled) return SessionStatus::kDone;
-  if (state_ == State::kFailed) return SessionStatus::kError;
+  if (phase_ == Phase::kSettled) return SessionStatus::kDone;
+  if (phase_ == Phase::kFailed) return SessionStatus::kError;
   return SessionStatus::kWantRead;
 }
 
 const char* SessionEngine::phase_name() const {
-  switch (state_) {
-    case State::kAwaitHelloAck: return "awaiting HELLO_ACK";
-    case State::kAwaitEstimateReply: return "awaiting estimate reply";
-    case State::kAwaitSchemeReply: return "awaiting scheme reply";
-    case State::kAwaitUpdateAck: return "awaiting UPDATE_ACK";
-    case State::kAwaitShardPlanAck: return "awaiting SHARD_PLAN_ACK";
-    case State::kAwaitResumeAck: return "awaiting RESUME_ACK";
-    case State::kAwaitDigestReply: return "awaiting digest reply";
-    case State::kShardMux: return "running sub-sessions";
-    case State::kAwaitDoneAck: return "awaiting DONE ack";
-    case State::kAwaitHello: return "awaiting HELLO";
-    case State::kServing: return "serving";
-    case State::kSettled: return "settled";
-    case State::kFailed: return "failed";
-  }
-  return "unknown";
+  if (phase_ == Phase::kSettled) return "settled";
+  if (phase_ == Phase::kFailed || role_ == nullptr) return "failed";
+  return role_->phase();
 }
 
 int64_t SessionEngine::DeadlineRemainingMs() const {
-  if (config_.phase_deadline_ms <= 0) return -1;
-  if (state_ == State::kSettled || state_ == State::kFailed) return -1;
+  if (phase_deadline_ms_ <= 0 || !running()) return -1;
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - phase_start_)
                            .count();
-  const int64_t remaining = config_.phase_deadline_ms - elapsed;
+  const int64_t remaining = phase_deadline_ms_ - elapsed;
   return remaining > 0 ? remaining : 0;
 }
 
@@ -521,8 +836,11 @@ bool SessionEngine::CheckDeadline() {
       std::string("phase deadline exceeded while ") + phase_name();
   // The responder tells the stalled peer why it is being dropped; the
   // initiator's driver reads the error from the result.
-  if (!is_initiator_) AppendError(message);
-  Fail(message);
+  if (is_initiator_) {
+    Fail(message);
+  } else {
+    Reject(message, message);
+  }
   return true;
 }
 
@@ -562,12 +880,6 @@ void SessionEngine::AppendOutbound(FrameType type, uint32_t round,
   result_.outcome.wire_frames = wire_frames_;
 }
 
-void SessionEngine::AppendError(const std::string& message) {
-  AppendOutbound(FrameType::kError, 0,
-                 reinterpret_cast<const uint8_t*>(message.data()),
-                 message.size(), "sending error");
-}
-
 size_t SessionEngine::Poll(uint8_t* out, size_t max) {
   const size_t n = std::min(max, outbound_size());
   if (n > 0) {
@@ -586,35 +898,30 @@ void SessionEngine::ConsumeOutbound(size_t n) {
 }
 
 void SessionEngine::FailTransport() {
-  if (state_ == State::kSettled || state_ == State::kFailed) {
-    // Already settled: the undeliverable bytes were courtesy frames (DONE
-    // ack, ERROR); drop them so Status() can report the terminal state.
-    outbound_.clear();
-    out_pos_ = 0;
-    return;
-  }
+  // Once settled, the undeliverable bytes were courtesy frames (DONE ack,
+  // ERROR); dropping them lets Status() report the terminal state.
   outbound_.clear();
   out_pos_ = 0;
-  Fail(std::string("transport failed ") + write_label_);
+  if (running()) Fail(std::string("transport failed ") + write_label_);
 }
 
 // -------------------------------------------------------------- inbound --
 
 void SessionEngine::Feed(const uint8_t* data, size_t size) {
-  if (state_ == State::kSettled || state_ == State::kFailed) return;
+  if (!running()) return;
   inbound_.insert(inbound_.end(), data, data + size);
   ProcessInbound();
 }
 
 void SessionEngine::FeedEof() {
-  if (state_ == State::kSettled || state_ == State::kFailed) return;
+  if (!running()) return;
   Fail(BufferedBytes() < wire::kFrameHeaderSize
            ? "transport closed while reading frame header"
            : "transport closed while reading frame payload");
 }
 
 void SessionEngine::ProcessInbound() {
-  while (state_ != State::kSettled && state_ != State::kFailed) {
+  while (running()) {
     const size_t buffered = BufferedBytes();
     if (buffered < wire::kFrameHeaderSize) break;
     size_t payload_length = 0;
@@ -634,8 +941,11 @@ void SessionEngine::ProcessInbound() {
       // the peer why before giving up (e.g. an initiator speaking a newer
       // wire version learns "unsupported wire version" instead of
       // watching the connection drop); the initiator just reports it.
-      if (!is_initiator_) AppendError(StatusName(status));
-      Fail(StatusName(status));
+      if (is_initiator_) {
+        Fail(StatusName(status));
+      } else {
+        Reject(StatusName(status), StatusName(status));
+      }
       return;
     }
     in_pos_ += consumed;
@@ -643,18 +953,19 @@ void SessionEngine::ProcessInbound() {
     wire_frames_ += 1;
     result_.outcome.wire_bytes = wire_bytes_;
     result_.outcome.wire_frames = wire_frames_;
-    DispatchFrame();
+    if (frame_.type == FrameType::kError) {
+      Fail((is_initiator_ ? role_->peer_error_prefix() : "initiator error: ") +
+           ErrorText(frame_));
+    } else {
+      role_->OnFrame(*this, frame_);
+    }
     // The deadline is per *phase*, not per session: any complete frame
     // from the peer is progress and restarts the clock.
-    if (config_.phase_deadline_ms > 0) {
+    if (phase_deadline_ms_ > 0) {
       phase_start_ = std::chrono::steady_clock::now();
     }
   }
-  // Sharded sessions batch inbound sub-frames per Feed; process the batch
-  // now that the frame loop drained (sync/sharded_session.h batch model).
-  if (shard_coordinator_ != nullptr || shard_mux_ != nullptr) {
-    FlushShardFrames();
-  }
+  if (running()) role_->OnDrained(*this);
   // Compact the consumed prefix. Memmove, not erase-with-realloc: the
   // buffer stays at peak capacity, so steady-state rounds never allocate.
   if (in_pos_ == inbound_.size()) {
@@ -668,767 +979,28 @@ void SessionEngine::ProcessInbound() {
   }
 }
 
-void SessionEngine::DispatchFrame() {
-  if (is_initiator_) {
-    DispatchInitiator();
-  } else {
-    DispatchResponder();
-  }
-}
-
-// ------------------------------------------------------------- initiator --
-
-void SessionEngine::DispatchInitiator() {
-  if (frame_.type == FrameType::kError) {
-    Fail((state_ == State::kAwaitHelloAck ? "responder rejected: "
-                                          : "responder error: ") +
-         ErrorText(frame_));
-    return;
-  }
-  switch (state_) {
-    case State::kAwaitHelloAck: {
-      if (frame_.type != FrameType::kHelloAck) {
-        Fail("expected HELLO_ACK");
-        return;
-      }
-      if (config_.exact_d >= 0.0) {
-        result_.d_hat = d_hat_ = config_.exact_d;
-        StartSchemePhase();
-        return;
-      }
-      SendEstimateRequest();
-      return;
-    }
-    case State::kAwaitEstimateReply: {
-      if (frame_.type != FrameType::kEstimateReply) {
-        Fail("expected ESTIMATE_REPLY");
-        return;
-      }
-      BitReader r(frame_.payload);
-      d_hat_ = BitsToDouble(r.ReadBits(64));
-      estimator_payload_bytes_ += frame_.payload.size();
-      if (r.overflowed() || !std::isfinite(d_hat_) || d_hat_ < 0.0) {
-        Fail("malformed estimate reply");
-        return;
-      }
-      if (d_hat_ > kMaxDifferenceEstimate) {
-        Fail("difference estimate exceeds wire session capacity "
-             "(d-hat > 2^19)");
-        return;
-      }
-      result_.d_hat = d_hat_;
-      if (shard_coordinator_ != nullptr) {
-        // Sharded path: apportion the global estimate across the
-        // differing shards; FlushShardFrames (end of this ProcessInbound
-        // pass) opens the first sub-sessions.
-        shard_coordinator_->SetTotalEstimate(d_hat_);
-        state_ = State::kShardMux;
-        return;
-      }
-      StartSchemePhase();
-      return;
-    }
-    case State::kAwaitSchemeReply: {
-      if (frame_.type != FrameType::kSchemeReply) {
-        Fail("expected SCHEME_REPLY");
-        return;
-      }
-      if (!initiator_engine_->HandleReply(frame_.payload)) {
-        AppendError("malformed scheme reply");
-        Fail("malformed scheme reply");
-        return;
-      }
-      if (!initiator_engine_->done()) {
-        EmitNextRequest();
-        return;
-      }
-      result_.outcome = initiator_engine_->TakeOutcome();
-      result_.outcome.estimator_bytes += estimator_payload_bytes_;
-      const std::vector<uint8_t> done = EncodeDone(result_.outcome);
-      AppendOutbound(FrameType::kDone, exchange_, done.data(), done.size(),
-                     "sending DONE");
-      state_ = State::kAwaitDoneAck;
-      return;
-    }
-    case State::kAwaitUpdateAck: {
-      if (frame_.type != FrameType::kUpdateAck) {
-        Fail("expected UPDATE_ACK");
-        return;
-      }
-      BitReader r(frame_.payload);
-      update_epoch_ = r.ReadBits(64);
-      update_inserted_ += static_cast<uint32_t>(r.ReadBits(32));
-      update_deleted_ += static_cast<uint32_t>(r.ReadBits(32));
-      update_rejected_ += static_cast<uint32_t>(r.ReadBits(32));
-      update_rejected_ += static_cast<uint32_t>(r.ReadBits(32));
-      if (r.overflowed()) {
-        Fail("malformed UPDATE_ACK");
-        return;
-      }
-      ++batch_pos_;
-      if (batch_pos_ < batches_.size()) {
-        EmitNextUpdate();
-      } else {
-        FinishUpdater();
-      }
-      return;
-    }
-    case State::kAwaitShardPlanAck:
-      HandleShardPlanAck();
-      return;
-    case State::kAwaitResumeAck:
-      HandleResumeAck();
-      return;
-    case State::kAwaitDigestReply:
-      HandleDigestReply();
-      return;
-    case State::kShardMux:
-      HandleSubSession();
-      return;
-    case State::kAwaitDoneAck: {
-      if (frame_.type != FrameType::kDone) {
-        Fail("expected DONE ack");
-        return;
-      }
-      result_.ok = true;
-      Settle();
-      return;
-    }
-    default:
-      Fail("unexpected frame");
-      return;
-  }
-}
-
-// --------------------------------------------------------------- sharded --
-
-void SessionEngine::StartShardedInitiator() {
-  shard_coordinator_ = std::make_unique<sync::ShardedCoordinator>(
-      config_, elements_, registry_);
-  if (!shard_coordinator_->ok()) {
-    Fail(shard_coordinator_->error());
-    return;
-  }
-  const std::vector<uint8_t> hello = EncodeHello(config_);
-  const std::vector<uint8_t> plan =
-      EncodeShardPlan(config_.keyspace_shards, shard_coordinator_->root(),
-                      hello);
-  AppendOutbound(FrameType::kShardPlan, 0, plan.data(), plan.size(),
-                 "sending SHARD_PLAN");
-  state_ = State::kAwaitShardPlanAck;
-}
-
-void SessionEngine::HandleShardPlanAck() {
-  if (frame_.type != FrameType::kShardPlanAck) {
-    Fail("expected SHARD_PLAN_ACK");
-    return;
-  }
-  if (frame_.payload.size() != 10) {
-    Fail("malformed SHARD_PLAN_ACK");
-    return;
-  }
-  const int accepted = GetU16(frame_.payload.data());
-  const uint64_t remote_root = GetU64(frame_.payload.data() + 2);
-  remote_root_ = remote_root;  // A later resume token must carry it.
-  std::string error;
-  if (!shard_coordinator_->AdoptShardCount(accepted, &error)) {
-    Fail(std::move(error));
-    return;
-  }
-  if (shard_coordinator_->root() == remote_root) {
-    // Equal roots certify every shard identical: settle right here, four
-    // frames total, without ever shipping the digest leaves.
-    result_.outcome.success = true;
-    result_.outcome.rounds = 0;
-    char summary[64];
-    std::snprintf(summary, sizeof(summary),
-                  "shards=%d identical=%d differing=0", accepted, accepted);
-    result_.outcome.params_summary = summary;
-    result_.d_hat = d_hat_ = 0.0;
-    const std::vector<uint8_t> done = EncodeDone(result_.outcome);
-    AppendOutbound(FrameType::kDone, exchange_, done.data(), done.size(),
-                   "sending DONE");
-    state_ = State::kAwaitDoneAck;
-    return;
-  }
-  shard_coordinator_->EncodeDigestTree(&payload_scratch_);
-  AppendOutbound(FrameType::kDigestTree, 0, payload_scratch_.data(),
-                 payload_scratch_.size(), "sending DIGEST_TREE");
-  state_ = State::kAwaitDigestReply;
-}
-
-void SessionEngine::StartResumedInitiator() {
-  const sync::ShardResumeState& token = *config_.resume;
-  if (!ValidResumeToken(token)) {
-    Fail("invalid resume token");
-    return;
-  }
-  shard_coordinator_ = std::make_unique<sync::ShardedCoordinator>(
-      config_, elements_, registry_, token);
-  if (!shard_coordinator_->ok()) {
-    Fail(shard_coordinator_->error());
-    return;
-  }
-  remote_root_ = token.remote_root;
-  const std::vector<uint8_t> hello = EncodeHello(config_);
-  const std::vector<uint8_t> payload = EncodeResume(token, hello);
-  AppendOutbound(FrameType::kResume, 0, payload.data(), payload.size(),
-                 "sending RESUME");
-  state_ = State::kAwaitResumeAck;
-}
-
-void SessionEngine::HandleResumeAck() {
-  if (frame_.type != FrameType::kResumeAck) {
-    Fail("expected RESUME_ACK");
-    return;
-  }
-  if (frame_.payload.size() != 8) {
-    Fail("malformed RESUME_ACK");
-    return;
-  }
-  if (GetU64(frame_.payload.data()) != remote_root_) {
-    // The responder accepted but reports a different root than the token
-    // carries: its set changed under us. Same taxonomy as the responder's
-    // own rejection so drivers can fall back to a fresh session.
-    Fail("stale resume: responder set changed");
-    return;
-  }
-  // FlushShardFrames (end of this ProcessInbound pass) reopens the
-  // pending sub-sessions -- or settles directly when none were staged.
-  state_ = State::kShardMux;
-}
-
-void SessionEngine::HandleDigestReply() {
-  if (frame_.type != FrameType::kDigestReply) {
-    Fail("expected DIGEST_REPLY");
-    return;
-  }
-  std::string error;
-  if (!shard_coordinator_->BeginSubSessions(frame_.payload, &error)) {
-    Fail(std::move(error));
-    return;
-  }
-  if (shard_coordinator_->NeedsEstimate()) {
-    // Enough shards differ that one global sketch beats blind retry
-    // ladders: run the same estimate exchange a monolithic session uses
-    // and apportion the total. Sub-sessions stay parked until the reply.
-    SendEstimateRequest();
-    return;
-  }
-  // FlushShardFrames (end of this ProcessInbound pass) opens the first
-  // `shard_pipeline` sub-sessions -- or settles directly when the bitmap
-  // named no differing shard.
-  state_ = State::kShardMux;
-}
-
-void SessionEngine::SendEstimateRequest() {
-  TowSketch sketch(config_.options.pbs.ell, config_.estimate_seed);
-  sketch.AddAll(*elements_);
-  BitWriter w;
-  w.WriteBits(elements_->size(), 64);
-  sketch.Serialize(&w, elements_->size());
-  estimator_payload_bytes_ += w.byte_size();
-  const std::vector<uint8_t> payload = w.TakeBytes();
-  AppendOutbound(FrameType::kEstimateRequest, 0, payload.data(),
-                 payload.size(), "sending estimate");
-  state_ = State::kAwaitEstimateReply;
-}
-
-void SessionEngine::HandleSubSession() {
-  std::vector<sync::SubFrame> records;
-  if (frame_.type != FrameType::kSubSession ||
-      !sync::ParseSubRecords(frame_.payload, &records) || records.empty()) {
-    if (!is_initiator_) AppendError("malformed SUB_SESSION");
-    Fail("malformed SUB_SESSION");
-    return;
-  }
-  std::string error;
-  for (auto& sub : records) {
-    const bool ok =
-        is_initiator_
-            ? shard_coordinator_->HandleSubFrame(std::move(sub), &error)
-            : shard_mux_->HandleSubFrame(std::move(sub), &error);
-    if (!ok) {
-      if (!is_initiator_) AppendError(error);
-      Fail(std::move(error));
-      return;
-    }
-  }
-}
-
-void SessionEngine::FlushShardFrames() {
-  if (state_ == State::kSettled || state_ == State::kFailed) return;
-  // One outer frame carries every record the flush produced: the 23-byte
-  // envelope amortizes across all shards with traffic this round.
-  std::vector<uint8_t> batch;
-  const auto emit = [&batch](uint32_t shard, uint8_t inner_type,
-                             const uint8_t* data, size_t size) {
-    sync::AppendSubRecord(shard, inner_type, data, size, &batch);
-  };
-  if (is_initiator_) {
-    if (state_ != State::kShardMux) return;
-    std::string error;
-    if (!shard_coordinator_->Flush(emit, &error)) {
-      Fail(std::move(error));
-      return;
-    }
-    if (!batch.empty()) {
-      ++exchange_;
-      AppendOutbound(FrameType::kSubSession, exchange_, batch.data(),
-                     batch.size(), "sending sub-session batch");
-    }
-    if (shard_coordinator_->done()) FinishShardedInitiator();
-    return;
-  }
-  std::string error;
-  if (!shard_mux_->Flush(emit, &error)) {
-    AppendError(error);
-    Fail(std::move(error));
-    return;
-  }
-  if (!batch.empty()) {
-    AppendOutbound(FrameType::kSubSession, frame_.round, batch.data(),
-                   batch.size(), "sending sub-session batch");
-  }
-}
-
-void SessionEngine::FinishShardedInitiator() {
-  result_.outcome = shard_coordinator_->TakeOutcome();
-  result_.outcome.estimator_bytes += estimator_payload_bytes_;
-  result_.degraded_shards = shard_coordinator_->degraded_shards();
-  result_.d_hat = d_hat_ = shard_coordinator_->total_d_hat();
-  const std::vector<uint8_t> done = EncodeDone(result_.outcome);
-  ++exchange_;
-  AppendOutbound(FrameType::kDone, exchange_, done.data(), done.size(),
-                 "sending DONE");
-  state_ = State::kAwaitDoneAck;
-}
-
-void SessionEngine::StartSchemePhase() {
-  initiator_engine_ =
-      reconciler_->CreateInitiator(*elements_, d_hat_, config_.seed);
-  state_ = State::kAwaitSchemeReply;
-  EmitNextRequest();
-}
-
-void SessionEngine::EmitNextRequest() {
-  ++exchange_;
-  initiator_engine_->NextRequestInto(&payload_scratch_);
-  AppendOutbound(FrameType::kSchemeRequest, exchange_, payload_scratch_.data(),
-                 payload_scratch_.size(), "sending round request");
-}
-
-// --------------------------------------------------------------- updater --
-
-void SessionEngine::EmitNextUpdate() {
-  ++exchange_;
-  BitWriter w;
-  EncodeUpdate(batches_[batch_pos_], &w);
-  AppendOutbound(FrameType::kUpdate, exchange_, w.bytes().data(),
-                 w.byte_size(), "sending update");
-  state_ = State::kAwaitUpdateAck;
-}
-
-void SessionEngine::FinishUpdater() {
-  result_.outcome.success = true;
-  result_.outcome.rounds = static_cast<int>(batch_pos_);
-  char summary[96];
-  std::snprintf(summary, sizeof(summary),
-                "epoch=%llu inserted=%u deleted=%u rejected=%u",
-                static_cast<unsigned long long>(update_epoch_),
-                update_inserted_, update_deleted_, update_rejected_);
-  result_.outcome.params_summary = summary;
-  const std::vector<uint8_t> done = EncodeDone(result_.outcome);
-  AppendOutbound(FrameType::kDone, exchange_, done.data(), done.size(),
-                 "sending DONE");
-  state_ = State::kAwaitDoneAck;
-}
-
-// ------------------------------------------------------------- responder --
-
-void SessionEngine::DispatchResponder() {
-  if (frame_.type == FrameType::kError) {
-    Fail("initiator error: " + ErrorText(frame_));
-    return;
-  }
-  if (frame_.type == FrameType::kUpdate) {
-    // UPDATE sessions skip the HELLO: the first kUpdate frame *is* the
-    // handshake. Interception before HandleHello keeps the two session
-    // kinds from interleaving (see HandleUpdate for the rejections).
-    HandleUpdate();
-    return;
-  }
-  if (frame_.type == FrameType::kShardPlan) {
-    // Sharded sessions skip the plain HELLO: the SHARD_PLAN embeds it.
-    // Interception mirrors kUpdate above (see HandleShardPlan's checks).
-    HandleShardPlan();
-    return;
-  }
-  if (frame_.type == FrameType::kResume) {
-    // A resumed sharded session: the RESUME embeds the HELLO just like
-    // SHARD_PLAN does, and replaces the digest exchange entirely.
-    HandleResume();
-    return;
-  }
-  if (state_ == State::kAwaitHello) {
-    HandleHello();
-    return;
-  }
-  if (update_session_ && frame_.type != FrameType::kDone) {
-    // An update session carries only kUpdate frames and a final kDone.
-    AppendError("unexpected frame");
-    Fail("unexpected frame");
-    return;
-  }
-  switch (frame_.type) {
-    case FrameType::kEstimateRequest:
-      ReplyToEstimateRequest();
-      return;
-    case FrameType::kSchemeRequest:
-      HandleSchemeRequest();
-      return;
-    case FrameType::kDigestTree:
-      HandleDigestTree();
-      return;
-    case FrameType::kSubSession:
-      if (shard_mux_ == nullptr) {
-        AppendError("unexpected frame");
-        Fail("unexpected frame");
-        return;
-      }
-      HandleSubSession();
-      return;
-    case FrameType::kDone: {
-      bool success = false;
-      int rounds = 0;
-      uint64_t diff_size = 0;
-      if (!DecodeDone(frame_.payload, &success, &rounds, &diff_size)) {
-        Fail("malformed DONE");
-        return;
-      }
-      AppendOutbound(FrameType::kDone, frame_.round, nullptr, 0,
-                     "sending ack");
-      result_.ok = true;
-      result_.d_hat = d_hat_ < 0.0 ? 0.0 : d_hat_;
-      result_.outcome.success = success;
-      result_.outcome.rounds = rounds;
-      if (shard_mux_ != nullptr) {
-        result_.degraded_shards = shard_mux_->degraded_shards();
-      }
-      Settle();
-      return;
-    }
-    default:
-      AppendError("unexpected frame");
-      Fail("unexpected frame");
-      return;
-  }
-}
-
-void SessionEngine::HandleHello() {
-  if (frame_.type != FrameType::kHello) {
-    AppendError("expected HELLO");
-    Fail("expected HELLO");
-    return;
-  }
-  if (!DecodeHello(frame_.payload, &config_)) {
-    AppendError("malformed HELLO");
-    Fail("malformed HELLO");
-    return;
-  }
-  result_.scheme = config_.scheme_name;
-  scheme_id_ = wire::SchemeWireId(config_.scheme_name);
-  reconciler_ = registry().Create(config_.scheme_name, config_.options);
-  if (!reconciler_) {
-    const std::string message = "unknown scheme '" + config_.scheme_name + "'";
-    AppendError(message);
-    Fail(message);
-    return;
-  }
-  d_hat_ = config_.exact_d;  // -1 until the estimate phase runs.
-  AppendOutbound(FrameType::kHelloAck, 0, nullptr, 0, "sending ack");
-  state_ = State::kServing;
-}
-
-void SessionEngine::HandleShardPlan() {
-  if (state_ != State::kAwaitHello || update_session_) {
-    AppendError("unexpected frame");
-    Fail("unexpected frame");
-    return;
-  }
-  if (elements_ == nullptr) {
-    AppendError("server has no element set");
-    Fail("SHARD_PLAN on a server with no element set");
-    return;
-  }
-  int proposed = 0;
-  uint64_t remote_root = 0;
-  std::vector<uint8_t> hello;
-  if (!DecodeShardPlanHeader(frame_.payload, &proposed, &remote_root,
-                             &hello)) {
-    AppendError("malformed SHARD_PLAN");
-    Fail("malformed SHARD_PLAN");
-    return;
-  }
-  if (proposed < sync::kMinKeyspaceShards ||
-      proposed > sync::kMaxKeyspaceShards) {
-    AppendError("shard count out of range");
-    Fail("shard count out of range");
-    return;
-  }
-  // DecodeHello overwrites every wire-carried field; side-local knobs
-  // (decode_threads, keyspace_shards) survive in config_, which is what
-  // lets a smaller locally-configured shard count clamp the proposal.
-  if (!DecodeHello(hello, &config_)) {
-    AppendError("malformed HELLO");
-    Fail("malformed HELLO");
-    return;
-  }
-  result_.scheme = config_.scheme_name;
-  scheme_id_ = wire::SchemeWireId(config_.scheme_name);
-  if (!registry().Contains(config_.scheme_name)) {
-    const std::string message = "unknown scheme '" + config_.scheme_name + "'";
-    AppendError(message);
-    Fail(message);
-    return;
-  }
-  int accepted = proposed;
-  if (config_.keyspace_shards >= sync::kMinKeyspaceShards &&
-      config_.keyspace_shards < proposed) {
-    accepted = config_.keyspace_shards;
-  }
-  shard_mux_ = std::make_unique<sync::ShardedResponderMux>(
-      config_, elements_, registry_, accepted, snapshot_);
-  if (!shard_mux_->ok()) {
-    const std::string message = shard_mux_->error();
-    AppendError(message);
-    Fail(message);
-    return;
-  }
-  d_hat_ = config_.exact_d;
-  const std::vector<uint8_t> ack =
-      EncodeShardPlanAck(accepted, shard_mux_->root());
-  AppendOutbound(FrameType::kShardPlanAck, 0, ack.data(), ack.size(),
-                 "sending SHARD_PLAN_ACK");
-  state_ = State::kServing;
-}
-
-void SessionEngine::HandleResume() {
-  if (state_ != State::kAwaitHello || update_session_) {
-    AppendError("unexpected frame");
-    Fail("unexpected frame");
-    return;
-  }
-  if (elements_ == nullptr) {
-    AppendError("server has no element set");
-    Fail("RESUME on a server with no element set");
-    return;
-  }
-  int shards = 0;
-  uint64_t remote_root = 0;
-  std::vector<std::pair<uint32_t, uint8_t>> entries;
-  std::vector<uint8_t> hello;
-  if (!DecodeResumeHeader(frame_.payload, &shards, &remote_root, &entries,
-                          &hello)) {
-    AppendError("malformed RESUME");
-    Fail("malformed RESUME");
-    return;
-  }
-  if (shards < sync::kMinKeyspaceShards || shards > sync::kMaxKeyspaceShards) {
-    AppendError("shard count out of range");
-    Fail("shard count out of range");
-    return;
-  }
-  if (!DecodeHello(hello, &config_)) {
-    AppendError("malformed HELLO");
-    Fail("malformed HELLO");
-    return;
-  }
-  result_.scheme = config_.scheme_name;
-  scheme_id_ = wire::SchemeWireId(config_.scheme_name);
-  if (!registry().Contains(config_.scheme_name)) {
-    const std::string message = "unknown scheme '" + config_.scheme_name + "'";
-    AppendError(message);
-    Fail(message);
-    return;
-  }
-  // The resumed count was *negotiated* by the interrupted session, but
-  // this server's local clamp still binds (the reconnect may have landed
-  // on a differently-configured replica).
-  if (config_.keyspace_shards >= sync::kMinKeyspaceShards &&
-      config_.keyspace_shards < shards) {
-    const std::string message = "resume shard count exceeds server limit";
-    AppendError(message);
-    Fail(message);
-    return;
-  }
-  shard_mux_ = std::make_unique<sync::ShardedResponderMux>(
-      config_, elements_, registry_, shards, snapshot_);
-  if (!shard_mux_->ok()) {
-    const std::string message = shard_mux_->error();
-    AppendError(message);
-    Fail(message);
-    return;
-  }
-  if (shard_mux_->root() != remote_root) {
-    // The served set changed between the interrupted session and this
-    // resume, so the shard outcomes the client banked may be invalid.
-    // Reject; the client falls back to a fresh session against the
-    // current set.
-    const std::string message = "stale resume: responder set changed";
-    AppendError(message);
-    Fail(message);
-    return;
-  }
-  std::string error;
-  if (!shard_mux_->BeginResume(entries, &error)) {
-    AppendError(error);
-    Fail(std::move(error));
-    return;
-  }
-  d_hat_ = config_.exact_d;
-  std::vector<uint8_t> ack;
-  ack.reserve(8);
-  PutU64(shard_mux_->root(), &ack);
-  AppendOutbound(FrameType::kResumeAck, 0, ack.data(), ack.size(),
-                 "sending RESUME_ACK");
-  state_ = State::kServing;
-}
-
-void SessionEngine::HandleDigestTree() {
-  if (shard_mux_ == nullptr) {
-    AppendError("unexpected frame");
-    Fail("unexpected frame");
-    return;
-  }
-  std::string error;
-  if (!shard_mux_->HandleDigestTree(frame_.payload, &payload_scratch_,
-                                    &error)) {
-    AppendError(error);
-    Fail(std::move(error));
-    return;
-  }
-  AppendOutbound(FrameType::kDigestReply, frame_.round,
-                 payload_scratch_.data(), payload_scratch_.size(),
-                 "sending DIGEST_REPLY");
-}
-
-void SessionEngine::ReplyToEstimateRequest() {
-  BitReader r(frame_.payload);
-  const uint64_t remote_size = r.ReadBits(64);
-  // remote_size sets the per-counter width ceil(log2(2n+1)); cap it so a
-  // hostile value cannot push the width past 64 bits (UB in ReadBits) —
-  // real sets are orders of magnitude below this.
-  if (remote_size > (uint64_t{1} << 48)) {
-    AppendError("malformed estimate request");
-    Fail("malformed estimate request");
-    return;
-  }
-  TowSketch remote = TowSketch::Deserialize(
-      &r, config_.options.pbs.ell, config_.estimate_seed, remote_size);
-  if (r.overflowed()) {
-    AppendError("malformed estimate request");
-    Fail("malformed estimate request");
-    return;
-  }
-  TowSketch local(config_.options.pbs.ell, config_.estimate_seed);
-  local.AddAll(*elements_);
-  d_hat_ = TowSketch::Estimate(remote, local);
-  BitWriter w;
-  w.WriteBits(DoubleBits(d_hat_), 64);
-  const std::vector<uint8_t> payload = w.TakeBytes();
-  AppendOutbound(FrameType::kEstimateReply, 0, payload.data(), payload.size(),
-                 "sending estimate");
-}
-
-void SessionEngine::HandleUpdate() {
-  if (store_ == nullptr) {
-    AppendError("server is read-only");
-    Fail("update on read-only server");
-    return;
-  }
-  if (state_ != State::kAwaitHello && !update_session_) {
-    // kUpdate arriving mid-reconciliation: sessions are single-purpose.
-    AppendError("unexpected frame");
-    Fail("unexpected frame");
-    return;
-  }
-  update_session_ = true;
-  state_ = State::kServing;
-  result_.scheme = "update";
-  if (!DecodeUpdate(frame_.payload, &update_scratch_)) {
-    // Nothing was applied: DecodeUpdate validates the entire payload
-    // before HandleUpdate touches the store.
-    AppendError("malformed UPDATE");
-    Fail("malformed UPDATE");
-    return;
-  }
-  const ApplyResult applied = store_->Apply(update_scratch_);
-  update_epoch_ = applied.epoch;
-  update_inserted_ += applied.inserted;
-  update_deleted_ += applied.deleted;
-  update_rejected_ += applied.rejected_inserts + applied.rejected_deletes;
-  BitWriter w;
-  w.WriteBits(applied.epoch, 64);
-  w.WriteBits(applied.inserted, 32);
-  w.WriteBits(applied.deleted, 32);
-  w.WriteBits(applied.rejected_inserts, 32);
-  w.WriteBits(applied.rejected_deletes, 32);
-  static_assert(kUpdateAckBits == 64 + 4 * 32, "ack layout drifted");
-  AppendOutbound(FrameType::kUpdateAck, frame_.round, w.bytes().data(),
-                 w.byte_size(), "sending update ack");
-}
-
-void SessionEngine::HandleSchemeRequest() {
-  if (!responder_engine_) {
-    if (d_hat_ < 0.0) {
-      AppendError("scheme round before estimate");
-      Fail("scheme round before estimate");
-      return;
-    }
-    if (snapshot_ != nullptr) {
-      // Snapshot fast path: schemes that can adopt the store's pre-built
-      // sketch state skip the per-session O(|B|) rebuild. nullptr means
-      // "no fast path"; fall through to the classic copying responder.
-      responder_engine_ =
-          reconciler_->CreateSnapshotResponder(snapshot_, d_hat_, config_.seed);
-    }
-    if (!responder_engine_) {
-      responder_engine_ =
-          reconciler_->CreateResponder(*elements_, d_hat_, config_.seed);
-    }
-  }
-  if (!responder_engine_->HandleRequest(frame_.payload, &payload_scratch_)) {
-    AppendError("malformed scheme request");
-    Fail("malformed scheme request");
-    return;
-  }
-  AppendOutbound(FrameType::kSchemeReply, frame_.round, payload_scratch_.data(),
-                 payload_scratch_.size(), "sending reply");
-}
-
 // --------------------------------------------------------------- terminal --
+
+void SessionEngine::Reject(const std::string& told_peer, std::string error) {
+  AppendOutbound(FrameType::kError, 0,
+                 reinterpret_cast<const uint8_t*>(told_peer.data()),
+                 told_peer.size(), "sending error");
+  Fail(std::move(error));
+}
 
 void SessionEngine::Fail(std::string error) {
   result_.ok = false;
   result_.error = std::move(error);
   result_.outcome.wire_bytes = wire_bytes_;
   result_.outcome.wire_frames = wire_frames_;
-  // A failing sharded initiator leaves a resume token behind so a
-  // reconnecting driver can finish only the unsettled shards.
-  // MakeResumeState returns null when there is nothing worth resuming
-  // (plan not agreed yet, or every shard settled).
-  if (is_initiator_ && shard_coordinator_ != nullptr &&
-      result_.resume_state == nullptr && state_ != State::kFailed) {
-    result_.resume_state = shard_coordinator_->MakeResumeState(remote_root_);
-  }
-  state_ = State::kFailed;
+  if (running() && role_ != nullptr) role_->OnFail(&result_);
+  phase_ = Phase::kFailed;
 }
 
 void SessionEngine::Settle() {
   result_.outcome.wire_bytes = wire_bytes_;
   result_.outcome.wire_frames = wire_frames_;
-  state_ = State::kSettled;
+  phase_ = Phase::kSettled;
 }
 
 }  // namespace pbs

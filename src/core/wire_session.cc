@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "pbs/sync/sharded_session.h"
+
 namespace pbs {
 
 namespace {
@@ -126,7 +128,7 @@ SessionResult RunResilientInitiatorSession(
       rep.last_wire_bytes = last.outcome.wire_bytes;
       rep.total_wire_bytes += last.outcome.wire_bytes;
       if (last.ok) return last;
-      if (last.error.find("stale resume") != std::string::npos) {
+      if (last.error.find(sync::kStaleResumeError) != std::string::npos) {
         // The responder's set changed: the banked shard outcomes are
         // worthless. Drop the token and restart clean.
         rep.stale_resume = true;

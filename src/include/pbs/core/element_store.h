@@ -66,7 +66,7 @@ struct PbsStoreLayout {
 /// Incrementally-maintained per-shard multiset digests of one snapshot:
 /// the Merkle pre-filter leaves of a sharded session
 /// (sync/shard_planner.h). Valid only for sessions whose negotiated
-/// (shard_count, seed) match -- the responder mux adopts them when they
+/// (shard_count, seed) match -- the sharded responder adopts them when they
 /// do and streams the digests from the element list otherwise, so
 /// adoption is purely a setup optimization, never a correctness
 /// dependency.

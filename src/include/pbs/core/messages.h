@@ -90,7 +90,7 @@ enum class FrameType : uint8_t {
   kUpdateAck = 10,      ///< Server's per-batch result: the published epoch
                         ///< and apply/reject counts.
   // Sharded huge-set reconciliation (docs/WIRE_FORMAT.md section 2.5;
-  // sync/sharded_session.h). A sharded session replaces the kHello
+  // sync/sharded_session.cc). A sharded session replaces the kHello
   // handshake with kShardPlan (which embeds the HELLO payload) and then
   // multiplexes per-shard sub-sessions over one connection.
   kShardPlan = 11,      ///< Initiator's shard proposal: shard count, its

@@ -1,9 +1,9 @@
 // Sans-I/O session engine: the wire-session protocol as a pure poll/feed
 // state machine, with no transport, no threads, and no blocking anywhere.
 //
-// A SessionEngine holds one side (initiator or responder) of the framed
-// reconciliation protocol (docs/WIRE_FORMAT.md). The embedding owns all
-// I/O and pumps bytes through three calls:
+// A SessionEngine holds one side of the framed reconciliation protocol
+// (docs/WIRE_FORMAT.md). The embedding owns all I/O and pumps bytes
+// through three calls:
 //
 //   Feed(data, size)  hand the engine inbound bytes, in ANY chunking --
 //                     partial frames, single bytes, many frames at once;
@@ -13,6 +13,16 @@
 //                       kWantRead   blocked on more inbound bytes (Feed)
 //                       kDone       session settled; TakeResult()
 //                       kError      session failed; result().error says why
+//
+// Inside, the engine is a frame core plus one role object. The core does
+// what every session shares: inbound reassembly, the outbound frame
+// queue, byte/frame accounting, the phase deadline clock, and the
+// terminal state. The role holds only its own protocol state: the
+// monolithic initiator, the updater, the sharded initiator, or a
+// responder. A responder's role is chosen by the peer's first frame --
+// HELLO (monolithic), UPDATE (mutable store) or SHARD_PLAN/RESUME
+// (sharded) -- so a session is single-purpose by construction
+// (docs/ARCHITECTURE.md sections 3 and 7).
 //
 // Because the engine never performs I/O, the same state machine serves
 // every integration style: the blocking convenience drivers
@@ -43,9 +53,9 @@
 
 namespace pbs {
 
+class SessionRole;
+
 namespace sync {
-class ShardedCoordinator;
-class ShardedResponderMux;
 struct ShardResumeState;
 }  // namespace sync
 
@@ -252,99 +262,28 @@ class SessionEngine {
   SessionResult TakeResult() { return std::move(result_); }
 
  private:
-  enum class State {
-    // Initiator.
-    kAwaitHelloAck,
-    kAwaitEstimateReply,
-    kAwaitSchemeReply,
-    kAwaitUpdateAck,  // Updater role: batch in flight.
-    kAwaitShardPlanAck,  // Sharded initiator: SHARD_PLAN in flight.
-    kAwaitResumeAck,     // Sharded initiator: RESUME in flight.
-    kAwaitDigestReply,   // Sharded initiator: DIGEST_TREE in flight.
-    kShardMux,           // Sharded initiator: sub-sessions running.
-    kAwaitDoneAck,
-    // Responder.
-    kAwaitHello,
-    kServing,
-    // Both.
-    kSettled,
-    kFailed,
-  };
+  friend class SessionRole;
+  enum class Phase : uint8_t { kRunning, kSettled, kFailed };
 
-  SessionEngine(bool is_initiator, const SessionConfig& config,
-                SharedElements elements, const SchemeRegistry* registry);
+  SessionEngine(bool is_initiator, int phase_deadline_ms);
 
-  const SchemeRegistry& registry() const;
+  bool running() const { return phase_ == Phase::kRunning; }
   void ProcessInbound();
-  void DispatchFrame();
-  void DispatchInitiator();
-  void DispatchResponder();
-  void HandleHello();
-  void ReplyToEstimateRequest();
-  void HandleSchemeRequest();
-  void HandleUpdate();
-  void StartShardedInitiator();
-  void StartResumedInitiator();
-  void HandleShardPlan();
-  void HandleShardPlanAck();
-  void HandleResume();
-  void HandleResumeAck();
-  void HandleDigestTree();
-  void HandleDigestReply();
-  void SendEstimateRequest();
-  void HandleSubSession();
-  void FlushShardFrames();
-  void FinishShardedInitiator();
-  void StartSchemePhase();
-  void EmitNextRequest();
-  void EmitNextUpdate();
-  void FinishUpdater();
   void AppendOutbound(wire::FrameType type, uint32_t round,
                       const uint8_t* payload, size_t size, const char* label);
-  void AppendError(const std::string& message);
+  void Reject(const std::string& told_peer, std::string error);
   void Fail(std::string error);
   void Settle();
   size_t BufferedBytes() const { return inbound_.size() - in_pos_; }
 
   bool is_initiator_;
-  State state_;
-  SessionConfig config_;
-  SharedElements elements_;
-  // Mutable-store plumbing: the snapshot pins this session's view of the
-  // set (and carries the adoptable pre-built layout); the store, when
-  // attached, accepts UPDATE sessions. Both null for classic sessions.
-  std::shared_ptr<const StoreSnapshot> snapshot_;
-  std::shared_ptr<MutableElementStore> store_;
-  // Updater role (initiator side).
-  bool is_updater_ = false;
-  std::vector<UpdateBatch> batches_;
-  size_t batch_pos_ = 0;
-  // Responder side: true once this session's first frame was kUpdate;
-  // reconciliation frames are then rejected (sessions are single-purpose).
-  bool update_session_ = false;
-  UpdateBatch update_scratch_;  // Reused decode target.
-  // Cumulative UPDATE accounting (both roles).
-  uint64_t update_epoch_ = 0;
-  uint32_t update_inserted_ = 0;
-  uint32_t update_deleted_ = 0;
-  uint32_t update_rejected_ = 0;
-  const SchemeRegistry* registry_;  // nullptr = SchemeRegistry::Instance().
-  uint8_t scheme_id_ = 0;
-  std::unique_ptr<SetReconciler> reconciler_;
-  std::unique_ptr<ReconcileInitiator> initiator_engine_;
-  std::unique_ptr<ReconcileResponder> responder_engine_;
-  // Sharded sessions (sync/sharded_session.h); null in monolithic ones.
-  std::unique_ptr<sync::ShardedCoordinator> shard_coordinator_;
-  std::unique_ptr<sync::ShardedResponderMux> shard_mux_;
-  double d_hat_ = -1.0;
-  uint32_t exchange_ = 0;
-  size_t estimator_payload_bytes_ = 0;
-  // Sharded initiator: the responder's Merkle root from SHARD_PLAN_ACK /
-  // RESUME_ACK — carried into resume tokens so the responder can detect
-  // a set that changed between attempts (stale resume).
-  uint64_t remote_root_ = 0;
+  Phase phase_ = Phase::kRunning;
+  // Null only when an initiator's configuration failed up front.
+  std::unique_ptr<SessionRole> role_;
+  uint8_t scheme_id_ = 0;  // Header scheme id of every outbound frame.
   // Phase deadline clock: re-stamped at construction and after every
-  // dispatched frame; only read when config_.phase_deadline_ms > 0.
+  // dispatched frame; only read when phase_deadline_ms_ > 0.
+  int phase_deadline_ms_;
   std::chrono::steady_clock::time_point phase_start_{};
 
   // Byte plumbing: inbound accumulates fed bytes ahead of a consumed
@@ -354,8 +293,7 @@ class SessionEngine {
   size_t in_pos_ = 0;
   std::vector<uint8_t> outbound_;
   size_t out_pos_ = 0;
-  wire::WireFrame frame_;               // Reused decode target.
-  std::vector<uint8_t> payload_scratch_;  // Reused request/reply payload.
+  wire::WireFrame frame_;  // Reused decode target.
   const char* write_label_ = "sending frame";
 
   size_t wire_bytes_ = 0;

@@ -1,95 +1,35 @@
-// Pipelined per-shard sub-sessions multiplexed over one connection.
+// Resume state of keyspace-sharded sessions.
 //
-// After the Merkle pre-filter (sync/merkle_prefilter.h) has named the
-// shards whose digests disagree, each surviving shard reconciles as an
-// independent sub-session: its own scheme engines under a shard-derived
-// seed, its own outcome. Estimation is *conditional on the pre-filter*:
-// when the diff bitmap names only a handful of shards, the coordinator
-// skips the ToW sketch exchange entirely (a small default bound plus the
-// retry ladder is cheaper than shipping the sketch); otherwise one
-// *global* estimate exchange runs -- the same ESTIMATE_REQUEST /
-// ESTIMATE_REPLY frames as a monolithic session -- and the total is
-// apportioned across the differing shards, so per-shard estimator bytes
-// never hit the wire either way. A sub-session whose scheme decode fails
-// is retried with a geometrically escalated difference bound (the
-// per-attempt bound travels in the scheme-request prefix, and every
-// scheme's responder sizes itself from request bytes), which bounds
-// wasted bytes by a constant factor of the final successful attempt.
-//
-// Sub-sessions ride inside kSubSession frames; each frame carries a
-// *batch* of records (u16 shard, u8 inner type, u32 length, payload), so
-// the 23-byte outer envelope amortizes across every shard that had
-// traffic in the flush. Up to SessionConfig::shard_pipeline shards are
-// in flight at once -- shard k+1's request overlaps shard k's decode, so
-// one connection keeps both endpoints busy instead of serializing S
-// round trips.
-//
-// Batch model: the owning SessionEngine *enqueues* inbound sub-records
-// as they decode and calls Flush() once per Feed() after the frame loop
-// drains. Flush processes every queued record -- in parallel via
-// pbs::ParallelFor when the session's decode_threads allows (each queued
-// record touches a distinct shard, so the loop is embarrassingly
-// parallel) -- then emits the resulting replies/requests in arrival
-// order, so the recovered difference is identical for every thread count
-// and every byte chunking. Per-shard scheme engines always run with
-// decode_threads = 1: the shard loop owns the parallelism.
-//
-// Both endpoints of the sub-session layer live here: ShardedCoordinator
-// drives the initiator side (opens shards, consumes replies, retries
-// failed attempts, aggregates outcomes), ShardedResponderMux the
-// responder side (demuxes requests to per-shard responder engines). The
-// SessionEngine owns the wire envelope and the SHARD_PLAN / DIGEST_TREE
-// exchange; see docs/WIRE_FORMAT.md section 2.5 and docs/ARCHITECTURE.md
-// section 7.
+// A sharded session (SessionConfig::keyspace_shards >= 2) reconciles only
+// the shards the Merkle pre-filter names as differing, each as a
+// pipelined sub-session over the one connection (the two SessionEngine
+// roles in sync/sharded_session.cc; docs/ARCHITECTURE.md section 7,
+// docs/WIRE_FORMAT.md sections 2.5-2.6). When such a session fails after
+// the shard plan was agreed, the initiator's result carries the
+// ShardResumeState below, so a reconnecting client finishes only the
+// unsettled shards.
 
 #ifndef PBS_SYNC_SHARDED_SESSION_H_
 #define PBS_SYNC_SHARDED_SESSION_H_
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
-
-#include "pbs/common/parallel.h"
-#include "pbs/core/session_engine.h"
-#include "pbs/sync/shard_planner.h"
 
 namespace pbs::sync {
 
-/// One decoded kSubSession record: shard id, inner frame type
-/// (wire::FrameType as a byte), and the inner payload bytes.
-struct SubFrame {
-  uint32_t shard = 0;
-  uint8_t inner_type = 0;
-  std::vector<uint8_t> payload;
-};
-
-/// Appends one sub-session record to a kSubSession batch payload:
-/// u16 shard (LE), u8 inner type, u32 payload length (LE), payload.
-void AppendSubRecord(uint32_t shard, uint8_t inner_type, const uint8_t* data,
-                     size_t size, std::vector<uint8_t>* out);
-
-/// Parses a kSubSession batch payload into its records. Returns false
-/// when any record header is truncated or a length overruns the buffer.
-bool ParseSubRecords(const std::vector<uint8_t>& payload,
-                     std::vector<SubFrame>* out);
-
-/// Emission hook: the owning engine appends (shard, inner type, payload)
-/// as a record of the current outbound kSubSession batch.
-using SubEmit = std::function<void(uint32_t shard, uint8_t inner_type,
-                                   const uint8_t* data, size_t size)>;
+/// The failure cause of a RESUME whose token no longer matches the
+/// responder's set (its Merkle root changed between attempts). Both sides
+/// report it verbatim, so a driver recognizes it by this text and falls
+/// back to a fresh session.
+inline constexpr char kStaleResumeError[] =
+    "stale resume: responder set changed";
 
 /// Everything a reconnecting initiator needs to finish an interrupted
-/// sharded session. Captured by SessionEngine::Fail() from the
-/// coordinator (SessionResult::resume_state), carried across the
-/// reconnect by the resilient driver, and handed back via
-/// SessionConfig::resume. The settled_* fields keep the work already
-/// banked (differences recovered, accounting) on the client; only
-/// `pending` travels to the responder inside the RESUME frame.
+/// sharded session. Left in SessionResult::resume_state by the failing
+/// sharded initiator, carried across the reconnect by the resilient
+/// driver, and handed back via SessionConfig::resume. The settled_* fields
+/// keep the work already banked (differences recovered, accounting) on the
+/// client; only `pending` travels to the responder inside the RESUME frame.
 struct ShardResumeState {
   /// The negotiated (post-clamp) shard count of the interrupted session.
   int shard_count = 0;
@@ -120,220 +60,6 @@ struct ShardResumeState {
   double settled_encode_seconds = 0.0;
   double settled_decode_seconds = 0.0;
   int settled_count = 0;  ///< Differing shards that completed.
-};
-
-/// Initiator-side orchestrator of one sharded session.
-///
-/// Lifecycle: construct (derives the plan, streams the per-shard digest
-/// leaves), exchange roots via the engine's SHARD_PLAN round
-/// (AdoptShardCount if the responder clamped), EncodeDigestTree /
-/// BeginSubSessions around the digest exchange, then
-/// HandleSubFrame/Flush until done(), and TakeOutcome for the
-/// aggregated result.
-class ShardedCoordinator {
- public:
-  ShardedCoordinator(const SessionConfig& config,
-                     SessionEngine::SharedElements elements,
-                     const SchemeRegistry* registry);
-
-  /// Resuming constructor: re-attaches to the session `token` describes.
-  /// The plan is derived from the token's shard count, the settled work
-  /// is banked, and only the token's pending shards are staged (each
-  /// continuing its ladder one attempt past where it stood). The engine
-  /// sends RESUME instead of SHARD_PLAN / DIGEST_TREE, so no pre-filter
-  /// runs again.
-  ShardedCoordinator(const SessionConfig& config,
-                     SessionEngine::SharedElements elements,
-                     const SchemeRegistry* registry,
-                     const ShardResumeState& token);
-  ~ShardedCoordinator();
-
-  /// False when construction failed (unknown scheme); error() says why.
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  int shard_count() const { return plan_.shard_count; }
-
-  /// The per-shard digest leaves / their Merkle root for the current
-  /// shard count (computed once per negotiated count, O(|A|) stream).
-  const std::vector<uint64_t>& leaves();
-  uint64_t root();
-
-  /// Adopts the responder's accepted shard count (it may clamp the
-  /// proposal down, never up). Re-derives the plan and leaves when it
-  /// differs. False (with *error) outside [kMinKeyspaceShards, proposed].
-  bool AdoptShardCount(int accepted, std::string* error);
-
-  /// Builds the DIGEST_TREE payload: the S leaf digests, nothing else.
-  void EncodeDigestTree(std::vector<uint8_t>* out);
-
-  /// Consumes the responder's DIGEST_REPLY diff bitmap: partitions the
-  /// local set for the differing shards only and stages their
-  /// sub-sessions (opened lazily by Flush, `shard_pipeline` at a time).
-  /// Afterwards NeedsEstimate() says whether a global estimate exchange
-  /// must run before the sub-sessions may open.
-  bool BeginSubSessions(const std::vector<uint8_t>& payload,
-                        std::string* error);
-
-  /// True when the coordinator wants one global ToW estimate exchange
-  /// before opening sub-sessions: enough shards differ that a sketch is
-  /// cheaper than blind retry ladders. False when config.exact_d
-  /// pre-empted estimation or few enough shards differ to skip it.
-  bool NeedsEstimate() const { return begun_ && !ready_; }
-
-  /// Supplies the global difference estimate (the ESTIMATE_REPLY value);
-  /// apportions it across the differing shards and unblocks Flush.
-  void SetTotalEstimate(double d_hat);
-
-  /// Enqueues one inbound sub-record (validated against the shard's
-  /// phase). Call Flush afterwards to process and emit.
-  bool HandleSubFrame(SubFrame frame, std::string* error);
-
-  /// Processes every queued inbound record (in parallel across shards
-  /// when decode_threads > 1), emits replies in arrival order, then
-  /// opens further shards up to the pipeline cap.
-  bool Flush(const SubEmit& emit, std::string* error);
-
-  /// True once every differing shard's sub-session completed (vacuously
-  /// true right after BeginSubSessions saw an all-identical bitmap).
-  bool done() const { return begun_ && completed_ == subs_.size(); }
-
-  int differing_shards() const { return static_cast<int>(subs_.size()); }
-  int identical_shards() const { return identical_; }
-
-  /// Shards that settled only after degrading to a fallback scheme
-  /// (includes degradations carried in by a resume token).
-  int degraded_shards() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-
-  /// Snapshot of the session for a later resume: the settled work plus
-  /// each unsettled shard's ladder position. `remote_root` is the
-  /// responder root the owning engine saw in SHARD_PLAN_ACK/RESUME_ACK.
-  /// Null before the shard plan was agreed (nothing to resume) or once
-  /// every shard settled.
-  std::shared_ptr<ShardResumeState> MakeResumeState(uint64_t remote_root) const;
-
-  /// The negotiated total difference bound: the global ToW estimate,
-  /// config.exact_d when estimation was pre-empted, or -- when the
-  /// pre-filter let the session skip estimation -- the sum of the final
-  /// per-shard attempt bounds.
-  double total_d_hat() const;
-
-  /// Aggregated outcome: differences concatenated in ascending shard
-  /// order, rounds = max over shards, byte/time accounting summed.
-  /// Call once, after done().
-  ReconcileOutcome TakeOutcome();
-
- private:
-  struct Sub;
-  void Open(Sub& sub);
-  void StartAttempt(Sub& sub);
-  bool TryDegrade(Sub& sub);
-  void Process(Sub& sub, const SubFrame& frame);
-  Sub* FindSub(uint32_t shard);
-
-  SessionConfig config_;
-  SessionEngine::SharedElements elements_;
-  const SchemeRegistry* registry_;  // nullptr = SchemeRegistry::Instance().
-  std::unique_ptr<SetReconciler> reconciler_;  // decode_threads forced to 1.
-  ShardPlan plan_;
-  std::vector<uint64_t> leaves_;
-  bool leaves_valid_ = false;
-  std::string error_;
-
-  bool ready_ = false;        // Sub-sessions may open (estimate resolved).
-  double d_hat_total_ = -1.0;  // Global estimate; -1 = exact_d / skipped.
-  double initial_d_ = 1.0;     // Per-shard first-attempt bound.
-
-  std::vector<std::unique_ptr<Sub>> subs_;  // Ascending shard id.
-  bool begun_ = false;
-  int identical_ = 0;
-  int retries_ = 0;
-  // Incremented from Process(), which may run on ParallelFor workers.
-  std::atomic<int> degraded_{0};
-  size_t completed_ = 0;
-  size_t open_ = 0;
-  size_t next_open_ = 0;
-  int pipeline_ = 1;
-  std::vector<SubFrame> queue_;
-  std::unique_ptr<ParallelFor> pool_;  // Lazily created; null = serial.
-  // Work banked by a resume token (empty/zero on fresh sessions).
-  bool resumed_ = false;
-  std::vector<uint64_t> carried_difference_;
-  uint64_t carried_data_bytes_ = 0;
-  int carried_rounds_ = 0;
-  double carried_encode_ = 0.0;
-  double carried_decode_ = 0.0;
-  int carried_settled_ = 0;
-  int carried_retries_ = 0;
-};
-
-/// Responder-side demultiplexer of one sharded session.
-class ShardedResponderMux {
- public:
-  /// `accepted_shards` is the negotiated (possibly clamped) shard count.
-  /// When `snapshot` carries shard checksums matching (accepted_shards,
-  /// config.seed), its incrementally-maintained leaves are adopted and
-  /// the O(|B|) digest stream is skipped.
-  ShardedResponderMux(const SessionConfig& config,
-                      SessionEngine::SharedElements elements,
-                      const SchemeRegistry* registry, int accepted_shards,
-                      std::shared_ptr<const StoreSnapshot> snapshot);
-  ~ShardedResponderMux();
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  uint64_t root();
-
-  /// Consumes the initiator's DIGEST_TREE: diffs its leaves against the
-  /// local ones, encodes the DIGEST_REPLY diff bitmap into *reply, and
-  /// partitions the local set for the differing shards.
-  bool HandleDigestTree(const std::vector<uint8_t>& payload,
-                        std::vector<uint8_t>* reply, std::string* error);
-
-  /// Resume path: skips the digest exchange and stages exactly the
-  /// shards a RESUME frame named, seeding each shard's attempt counter
-  /// where the interrupted session left it (the reconnecting initiator
-  /// opens at attempt + 1, which the in-order check then accepts).
-  /// `entries` are (shard id, last attempt) pairs, ascending and unique.
-  bool BeginResume(const std::vector<std::pair<uint32_t, uint8_t>>& entries,
-                   std::string* error);
-
-  /// Shards this responder served with a degraded (fallback) scheme.
-  int degraded_shards() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-
-  /// Enqueues one inbound sub-record; Flush processes and emits.
-  bool HandleSubFrame(SubFrame frame, std::string* error);
-
-  /// Processes every queued record (parallel across shards when
-  /// decode_threads > 1) and emits the replies in arrival order.
-  bool Flush(const SubEmit& emit, std::string* error);
-
- private:
-  struct Sub;
-  void EnsureLeaves();
-  void Process(Sub& sub, const SubFrame& frame);
-  Sub* FindSub(uint32_t shard);
-
-  SessionConfig config_;
-  SessionEngine::SharedElements elements_;
-  const SchemeRegistry* registry_;  // nullptr = SchemeRegistry::Instance().
-  std::unique_ptr<SetReconciler> reconciler_;  // decode_threads forced to 1.
-  ShardPlan plan_;
-  std::vector<uint64_t> leaves_;
-  bool leaves_valid_ = false;
-  std::string error_;
-
-  std::vector<std::unique_ptr<Sub>> subs_;
-  bool partitioned_ = false;
-  // Incremented from Process(), which may run on ParallelFor workers.
-  std::atomic<int> degraded_{0};
-  std::vector<SubFrame> queue_;
-  std::unique_ptr<ParallelFor> pool_;
 };
 
 }  // namespace pbs::sync
