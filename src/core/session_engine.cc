@@ -40,6 +40,14 @@ constexpr uint8_t kHelloSubuniverseCheck = 1u << 2;
 // conversion and size per-scheme allocations, so they are held to
 // ValidDifferenceEstimate() (core/set_reconciler.h) like Reconcile()'s.
 
+// The responder plans with the peer's delta (PlanFor's search grows
+// steeply with it: seconds at 30, minutes near 100) and builds a ToW
+// sketch of ell counters over its whole set, so both are bounded well
+// inside their HELLO field widths. The paper sweeps delta up to 30
+// (Appendix J.2) and uses ell = 128.
+constexpr int kMaxDelta = 32;
+constexpr int kMaxEll = 1024;
+
 // The HELLO encodes these fields at fixed widths; sending silently
 // truncated values would make the responder plan with a different
 // configuration than the initiator, so out-of-range configs fail the
@@ -60,7 +68,7 @@ bool ValidateSessionConfig(const SessionConfig& config, std::string* error) {
       config.options.report_sig_bits > 255) {
     return fail("report_sig_bits (0-255)");
   }
-  if (pbs.delta < 1 || pbs.delta > 255) return fail("delta (1-255)");
+  if (pbs.delta < 1 || pbs.delta > kMaxDelta) return fail("delta (1-32)");
   if (pbs.target_rounds < 1 || pbs.target_rounds > 255) {
     return fail("target_rounds (1-255)");
   }
@@ -70,7 +78,7 @@ bool ValidateSessionConfig(const SessionConfig& config, std::string* error) {
   if (pbs.max_split_depth < 0 || pbs.max_split_depth > 255) {
     return fail("max_split_depth (0-255)");
   }
-  if (pbs.ell < 1 || pbs.ell > 65535) return fail("ell (1-65535)");
+  if (pbs.ell < 1 || pbs.ell > kMaxEll) return fail("ell (1-1024)");
   if (config.exact_d >= 0.0 && !ValidDifferenceEstimate(config.exact_d)) {
     return fail("exact_d (finite, 0 to 2^19)");
   }
@@ -575,7 +583,10 @@ bool DecodeHello(const std::vector<uint8_t>& payload, SessionConfig* config) {
       !ValidDifferenceEstimate(config->exact_d)) {
     return false;
   }
-  if (pbs.delta < 1 || pbs.max_rounds < 1 || pbs.ell < 1) return false;
+  if (pbs.delta < 1 || pbs.delta > kMaxDelta || pbs.max_rounds < 1 ||
+      pbs.ell < 1 || pbs.ell > kMaxEll) {
+    return false;
+  }
   if (config->options.sig_bits < 1 || config->options.sig_bits > 63) {
     return false;
   }

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <tuple>
 
 #include "pbs/common/bitio.h"
 #include "pbs/common/rng.h"
@@ -218,12 +219,55 @@ TEST(WireSession, UnknownSchemeIsRejectedByResponder) {
 
 TEST(WireSession, OutOfRangeConfigFailsFastWithoutTruncation) {
   // delta = 300 does not fit the HELLO's u8; the session must refuse to
-  // send a silently truncated config.
+  // send a silently truncated config. delta = 33 and ell = 1025 fit their
+  // fields but exceed the bounds a responder accepts.
+  for (const auto& [delta, ell, field] :
+       {std::make_tuple(300, 128, "delta"), std::make_tuple(33, 128, "delta"),
+        std::make_tuple(5, 1025, "ell")}) {
+    SessionConfig config;
+    config.options.pbs.delta = delta;
+    config.options.pbs.ell = ell;
+    const SessionResult result = RunLoopbackSession(config, {1, 2}, {1, 3});
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find(field), std::string::npos) << result.error;
+  }
+}
+
+// A peer's HELLO must not pin a responder: delta sizes the PBS planner's
+// search and ell the ToW sketch built over the whole served set, so a
+// HELLO beyond their bounds is refused before any of that work starts.
+TEST(WireSession, HelloWithOversizedPlanningFieldsIsRejected) {
   SessionConfig config;
-  config.options.pbs.delta = 300;
-  const SessionResult result = RunLoopbackSession(config, {1, 2}, {1, 3});
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("delta"), std::string::npos) << result.error;
+  config.exact_d = 4.0;
+  SessionEngine initiator = SessionEngine::Initiator(config, {1, 2, 3});
+  WireFrame hello;
+  size_t consumed = 0;
+  ASSERT_EQ(wire::DecodeFrame(initiator.outbound_data(),
+                              initiator.outbound_size(), &hello, &consumed),
+            FrameStatus::kOk);
+  // HELLO layout for "pbs": name length, 3 name bytes, flags, sig_bits,
+  // report_sig_bits, delta (byte 7), target_rounds, max_rounds,
+  // max_split_depth, ell (bytes 11-12).
+  ASSERT_EQ(hello.payload[0], 3);
+  ASSERT_EQ(hello.payload[7], 5);
+  for (int field : {7, 11}) {
+    SCOPED_TRACE(field == 7 ? "delta = 255" : "ell = 65535");
+    WireFrame patched = hello;
+    patched.payload[field] = 0xFF;
+    if (field == 11) patched.payload[12] = 0xFF;
+    const std::vector<uint8_t> bytes = wire::EncodeFrame(patched);
+    SessionEngine responder = SessionEngine::Responder({1, 2, 4});
+    responder.Feed(bytes.data(), bytes.size());
+    WireFrame reply;
+    ASSERT_EQ(wire::DecodeFrame(responder.outbound_data(),
+                                responder.outbound_size(), &reply, &consumed),
+              FrameStatus::kOk);
+    EXPECT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(std::string(reply.payload.begin(), reply.payload.end()),
+              "malformed HELLO");
+    responder.ConsumeOutbound(responder.outbound_size());
+    EXPECT_EQ(responder.Status(), SessionStatus::kError);
+  }
 }
 
 TEST(WireSession, RespondersRejectOversizedSizingFields) {
