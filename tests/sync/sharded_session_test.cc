@@ -17,6 +17,7 @@
 
 #include "pbs/common/rng.h"
 #include "pbs/core/element_store.h"
+#include "pbs/core/messages.h"
 #include "pbs/core/session_engine.h"
 #include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
@@ -247,6 +248,28 @@ TEST(ShardedSession, OutOfRangeShardCountFailsFast) {
   config.keyspace_shards = 5000;  // > kMaxKeyspaceShards.
   SessionEngine initiator = SessionEngine::Initiator(config, {1, 2, 3});
   EXPECT_EQ(initiator.Status(), SessionStatus::kError);
+}
+
+// A sharded session carries scheme rounds only inside SUB_SESSION
+// records; a bare SCHEME_REQUEST after SHARD_PLAN is a protocol violation
+// the responder must reject, even when the embedded HELLO carries
+// exact_d (which lets a monolithic responder skip the estimate).
+TEST(ShardedSession, BareSchemeRequestIsRejected) {
+  SessionConfig config = BaseConfig("pbs");
+  config.keyspace_shards = 4;
+  config.exact_d = 3.0;
+  SessionEngine initiator = SessionEngine::Initiator(config, {1, 2, 3});
+  SessionEngine responder = SessionEngine::Responder({1, 2, 4});
+  std::vector<uint8_t> bytes(initiator.outbound_data(),
+                             initiator.outbound_data() +
+                                 initiator.outbound_size());
+  const uint8_t request[] = {1, 2, 3, 4};
+  wire::AppendFrame(wire::FrameType::kSchemeRequest, 1, 1, request,
+                    sizeof(request), &bytes);
+  responder.Feed(bytes.data(), bytes.size());
+  responder.ConsumeOutbound(responder.outbound_size());
+  EXPECT_EQ(responder.Status(), SessionStatus::kError);
+  EXPECT_EQ(responder.result().error, "unexpected frame");
 }
 
 // A mutable store's incrementally maintained shard checksums are adopted
