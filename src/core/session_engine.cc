@@ -617,8 +617,6 @@ void SessionRole::Reject(SessionEngine& core, const std::string& told_peer,
   core.Reject(told_peer, std::move(error));
 }
 
-void SessionRole::Settle(SessionEngine& core) { core.Settle(); }
-
 SessionResult& SessionRole::Result(SessionEngine& core) { return core.result_; }
 
 void SessionRole::SetScheme(SessionEngine& core, const std::string& name) {
@@ -642,7 +640,7 @@ void SessionRole::OnDoneAck(SessionEngine& core, const WireFrame& frame) {
     return;
   }
   core.result_.ok = true;
-  Settle(core);
+  core.Settle();
 }
 
 void SessionRole::SendEstimateRequest(SessionEngine& core,
@@ -725,7 +723,7 @@ void SessionRole::ServeDone(SessionEngine& core, const WireFrame& frame,
   result.outcome.success = success;
   result.outcome.rounds = rounds;
   result.degraded_shards = degraded_shards;
-  Settle(core);
+  core.Settle();
 }
 
 // ------------------------------------------------------------ lifecycle --

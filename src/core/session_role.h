@@ -139,7 +139,6 @@ class SessionRole {
   }
   static void Reject(SessionEngine& core, const std::string& told_peer,
                      std::string error);
-  static void Settle(SessionEngine& core);
   static SessionResult& Result(SessionEngine& core);
   /// Names the session's scheme in the result and in every later header.
   static void SetScheme(SessionEngine& core, const std::string& name);
