@@ -97,15 +97,6 @@ bool ValidateSessionConfig(const SessionConfig& config, std::string* error) {
   return true;
 }
 
-bool DecodeDone(const std::vector<uint8_t>& payload, bool* success,
-                int* rounds) {
-  BitReader r(payload);
-  *success = r.ReadBits(8) != 0;
-  *rounds = static_cast<int>(r.ReadBits(32));
-  r.ReadBits(64);  // Recovered-difference cardinality (informational).
-  return !r.overflowed();
-}
-
 std::string ErrorText(const WireFrame& frame) {
   return std::string(frame.payload.begin(), frame.payload.end());
 }
@@ -384,6 +375,7 @@ class MonoResponder final : public SessionRole {
   }
 
   const char* phase() const override { return "serving"; }
+  bool tells_peer() const override { return true; }
 
  private:
   MonoResponder(SessionConfig config, const ServeContext& serve,
@@ -475,6 +467,7 @@ class UpdateResponder final : public SessionRole {
   }
 
   const char* phase() const override { return "serving"; }
+  bool tells_peer() const override { return true; }
 
  private:
   explicit UpdateResponder(std::shared_ptr<MutableElementStore> store)
@@ -510,6 +503,7 @@ class Accepting final : public SessionRole {
   }
 
   const char* phase() const override { return "awaiting HELLO"; }
+  bool tells_peer() const override { return true; }
 
  private:
   ServeContext serve_;
@@ -599,6 +593,15 @@ std::vector<uint8_t> EncodeDone(const ReconcileOutcome& outcome) {
   w.WriteBits(static_cast<uint32_t>(outcome.rounds), 32);
   w.WriteBits(outcome.difference.size(), 64);
   return w.TakeBytes();
+}
+
+bool DecodeDone(const std::vector<uint8_t>& payload, bool* success,
+                int* rounds) {
+  BitReader r(payload);
+  *success = r.ReadBits(8) != 0;
+  *rounds = static_cast<int>(r.ReadBits(32));
+  r.ReadBits(64);  // Recovered-difference cardinality (informational).
+  return !r.overflowed();
 }
 
 // ---------------------------------------------------- role-facing core --
@@ -740,7 +743,7 @@ SessionEngine SessionEngine::Initiator(const SessionConfig& config,
 SessionEngine SessionEngine::Initiator(const SessionConfig& config,
                                        SharedElements elements,
                                        const SchemeRegistry* registry) {
-  SessionEngine engine(/*is_initiator=*/true, config.phase_deadline_ms);
+  SessionEngine engine(config.phase_deadline_ms);
   engine.result_.scheme = config.scheme_name;
   engine.scheme_id_ = wire::SchemeWireId(config.scheme_name);
   std::string config_error;
@@ -773,7 +776,7 @@ SessionEngine SessionEngine::Responder(SharedElements elements,
 SessionEngine SessionEngine::Responder(const SessionConfig& local_config,
                                        SharedElements elements,
                                        const SchemeRegistry* registry) {
-  SessionEngine engine(/*is_initiator=*/false, local_config.phase_deadline_ms);
+  SessionEngine engine(local_config.phase_deadline_ms);
   // The HELLO decode overwrites every wire-carried field of the local
   // config; side-local knobs (decode_threads, keyspace_shards) are never
   // written by it, so seeding the role with it is all that "honoring
@@ -788,7 +791,7 @@ SessionEngine SessionEngine::Responder(
     std::shared_ptr<const StoreSnapshot> snapshot,
     std::shared_ptr<MutableElementStore> store,
     const SchemeRegistry* registry) {
-  SessionEngine engine(/*is_initiator=*/false, local_config.phase_deadline_ms);
+  SessionEngine engine(local_config.phase_deadline_ms);
   SharedElements elements = snapshot != nullptr ? snapshot->elements : nullptr;
   engine.role_ = std::make_unique<Accepting>(
       ServeContext{local_config, std::move(elements), std::move(snapshot),
@@ -798,15 +801,14 @@ SessionEngine SessionEngine::Responder(
 
 SessionEngine SessionEngine::Updater(std::vector<UpdateBatch> batches,
                                      const SchemeRegistry* /*registry*/) {
-  SessionEngine engine(/*is_initiator=*/true, /*phase_deadline_ms=*/0);
+  SessionEngine engine(/*phase_deadline_ms=*/0);
   engine.result_.scheme = "update";
   engine.role_ = std::make_unique<UpdateWriter>(engine, std::move(batches));
   return engine;
 }
 
-SessionEngine::SessionEngine(bool is_initiator, int phase_deadline_ms)
-    : is_initiator_(is_initiator),
-      phase_deadline_ms_(phase_deadline_ms),
+SessionEngine::SessionEngine(int phase_deadline_ms)
+    : phase_deadline_ms_(phase_deadline_ms),
       phase_start_(std::chrono::steady_clock::now()) {}
 
 SessionEngine::~SessionEngine() = default;
@@ -843,12 +845,12 @@ bool SessionEngine::CheckDeadline() {
   if (DeadlineRemainingMs() != 0) return false;
   const std::string message =
       std::string("phase deadline exceeded while ") + phase_name();
-  // The responder tells the stalled peer why it is being dropped; the
+  // A responder tells the stalled peer why it is being dropped; the
   // initiator's driver reads the error from the result.
-  if (is_initiator_) {
-    Fail(message);
-  } else {
+  if (role_->tells_peer()) {
     Reject(message, message);
+  } else {
+    Fail(message);
   }
   return true;
 }
@@ -950,10 +952,10 @@ void SessionEngine::ProcessInbound() {
       // the peer why before giving up (e.g. an initiator speaking a newer
       // wire version learns "unsupported wire version" instead of
       // watching the connection drop); the initiator just reports it.
-      if (is_initiator_) {
-        Fail(StatusName(status));
-      } else {
+      if (role_->tells_peer()) {
         Reject(StatusName(status), StatusName(status));
+      } else {
+        Fail(StatusName(status));
       }
       return;
     }
@@ -963,8 +965,7 @@ void SessionEngine::ProcessInbound() {
     result_.outcome.wire_bytes = wire_bytes_;
     result_.outcome.wire_frames = wire_frames_;
     if (frame_.type == FrameType::kError) {
-      Fail((is_initiator_ ? role_->peer_error_prefix() : "initiator error: ") +
-           ErrorText(frame_));
+      Fail(role_->peer_error_prefix() + ErrorText(frame_));
     } else {
       role_->OnFrame(*this, frame_);
     }

@@ -78,6 +78,11 @@ bool DecodeHello(const std::vector<uint8_t>& payload, SessionConfig* config);
 /// DONE summary: success flag, rounds, recovered-difference cardinality.
 std::vector<uint8_t> EncodeDone(const ReconcileOutcome& outcome);
 
+/// Reads a DONE summary; false on a truncated payload. The cardinality is
+/// informational and not returned.
+bool DecodeDone(const std::vector<uint8_t>& payload, bool* success,
+                int* rounds);
+
 inline std::string UnknownScheme(const std::string& name) {
   return "unknown scheme '" + name + "'";
 }
@@ -122,8 +127,15 @@ class SessionRole {
   /// SessionEngine::phase_name() while the session runs.
   virtual const char* phase() const = 0;
 
-  /// Initiators: what the failure cause says before a peer ERROR's text.
-  virtual const char* peer_error_prefix() const { return "responder error: "; }
+  /// Responders tell the peer why they fail (an ERROR frame before a
+  /// malformed envelope or a deadline drops the connection); initiators
+  /// only report it in their result.
+  virtual bool tells_peer() const { return false; }
+
+  /// What the failure cause says before a peer ERROR's text.
+  virtual const char* peer_error_prefix() const {
+    return tells_peer() ? "initiator error: " : "responder error: ";
+  }
 
  protected:
   static void Send(SessionEngine& core, wire::FrameType type, uint32_t round,

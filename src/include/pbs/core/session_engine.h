@@ -17,9 +17,9 @@
 // Inside, the engine is a frame core plus one role object. The core does
 // what every session shares: inbound reassembly, the outbound frame
 // queue, byte/frame accounting, the phase deadline clock, and the
-// terminal state. The role holds only its own protocol state: the
+// terminal state. The role holds only its own protocol state -- the
 // monolithic initiator, the updater, the sharded initiator, or a
-// responder. A responder's role is chosen by the peer's first frame --
+// responder -- and decides whether a failure is told to the peer. A responder's role is chosen by the peer's first frame --
 // HELLO (monolithic), UPDATE (mutable store) or SHARD_PLAN/RESUME
 // (sharded) -- so a session is single-purpose by construction
 // (docs/ARCHITECTURE.md sections 3 and 7).
@@ -265,7 +265,7 @@ class SessionEngine {
   friend class SessionRole;
   enum class Phase : uint8_t { kRunning, kSettled, kFailed };
 
-  SessionEngine(bool is_initiator, int phase_deadline_ms);
+  explicit SessionEngine(int phase_deadline_ms);
 
   bool running() const { return phase_ == Phase::kRunning; }
   void ProcessInbound();
@@ -276,7 +276,6 @@ class SessionEngine {
   void Settle();
   size_t BufferedBytes() const { return inbound_.size() - in_pos_; }
 
-  bool is_initiator_;
   Phase phase_ = Phase::kRunning;
   // Null only when an initiator's configuration failed up front.
   std::unique_ptr<SessionRole> role_;

@@ -860,7 +860,7 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
 
   void Finish(SessionEngine& core) {
     SessionResult& result = Result(core);
-    result.outcome = TakeOutcome();
+    result.outcome = Outcome();
     result.outcome.estimator_bytes += estimator_bytes_;
     result.degraded_shards = degraded_.load(std::memory_order_relaxed);
     result.d_hat = total_d_hat();
@@ -917,18 +917,19 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
 
   // Aggregated outcome: differences concatenated in ascending shard order
   // (after any banked by a resume token), rounds = max over shards,
-  // byte/time accounting summed.
-  ReconcileOutcome TakeOutcome() {
+  // byte/time accounting summed. Copies the banked work: a failure while
+  // awaiting the DONE ack still builds a resume token from carried_.
+  ReconcileOutcome Outcome() const {
     ReconcileOutcome out;
     out.success = true;
     out.rounds = carried_.settled_rounds;
-    out.difference = std::move(carried_.settled_difference);
+    out.difference = carried_.settled_difference;
     out.data_bytes = carried_.settled_data_bytes;
     out.encode_seconds = carried_.settled_encode_seconds;
     out.decode_seconds = carried_.settled_decode_seconds;
     int retries = carried_.retries;
-    for (auto& subp : subs_) {
-      InitiatorSub& sub = *subp;
+    for (const auto& subp : subs_) {
+      const InitiatorSub& sub = *subp;
       retries += sub.retries();
       if (!sub.has_outcome) {
         out.success = false;
@@ -1121,6 +1122,7 @@ class ShardedResponder final : public ShardedRole<ResponderSub> {
   }
 
   const char* phase() const override { return "serving"; }
+  bool tells_peer() const override { return true; }
 
  private:
   // When `snapshot` carries shard checksums for exactly this layout, its
@@ -1256,9 +1258,10 @@ class ShardedResponder final : public ShardedRole<ResponderSub> {
         sub.pending_type = static_cast<uint8_t>(FrameType::kSchemeReply);
         return;
       }
-      case FrameType::kDone:
-        // 13-byte summary: u8 success, u32 rounds, u64 recovered diff size.
-        if (frame.payload.size() < 13) {
+      case FrameType::kDone: {
+        bool success = false;
+        int rounds = 0;
+        if (!DecodeDone(frame.payload, &success, &rounds)) {
           sub.error = ShardError("malformed sub-session done", sub.shard);
           return;
         }
@@ -1268,6 +1271,7 @@ class ShardedResponder final : public ShardedRole<ResponderSub> {
         sub.scratch.clear();
         sub.pending_type = static_cast<uint8_t>(FrameType::kDone);
         return;
+      }
       default:
         sub.error = ShardError("unexpected sub-session record type", sub.shard);
     }

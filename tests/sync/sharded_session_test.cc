@@ -6,7 +6,9 @@
 // responder-side shard-count clamping works, the exact_d path skips the
 // per-shard estimate exchange, and a mutable store's incrementally
 // maintained shard checksums are adopted (and a mismatched configuration
-// falls back to streaming) without changing the recovered difference.
+// falls back to streaming) without changing the recovered difference, and
+// a resume token minted by a resumed attempt keeps the shards banked
+// before it.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "pbs/core/session_engine.h"
 #include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
+#include "pbs/sync/sharded_session.h"
 
 namespace pbs {
 namespace {
@@ -270,6 +273,70 @@ TEST(ShardedSession, BareSchemeRequestIsRejected) {
   responder.ConsumeOutbound(responder.outbound_size());
   EXPECT_EQ(responder.Status(), SessionStatus::kError);
   EXPECT_EQ(responder.result().error, "unexpected frame");
+}
+
+// Runs `config` against a fresh responder over `b`, one round trip per
+// step, and cuts the connection after `steps` round trips -- or, with
+// drop_done_echo, right before the responder's DONE echo would reach the
+// initiator. Returns the (failed) initiator's result.
+SessionResult RunCutSession(const SessionConfig& config,
+                            const std::vector<uint64_t>& a,
+                            const std::vector<uint64_t>& b, int steps,
+                            bool drop_done_echo) {
+  SessionEngine initiator = SessionEngine::Initiator(config, a);
+  SessionEngine responder = SessionEngine::Responder(b);
+  for (int i = 0; i < steps; ++i) {
+    responder.Feed(initiator.outbound_data(), initiator.outbound_size());
+    initiator.ConsumeOutbound(initiator.outbound_size());
+    if (drop_done_echo && responder.result().ok) break;
+    initiator.Feed(responder.outbound_data(), responder.outbound_size());
+    responder.ConsumeOutbound(responder.outbound_size());
+  }
+  initiator.FeedEof();
+  return initiator.TakeResult();
+}
+
+// A resume token minted by an already-resumed attempt still carries the
+// differences banked by the attempts before it: cut a session mid-run,
+// resume it, lose the final DONE echo of the resumed attempt, then
+// resume again from the second token. The last attempt has no shard left
+// to reconcile and must still report the full difference.
+TEST(ShardedSession, ResumeTokenOfAResumedSessionKeepsBankedShards) {
+  const SetPair pair = GenerateTwoSidedPair(1500, 20, 25, 32, 0xBA5);
+  const std::vector<uint64_t> truth = Sorted(pair.truth_diff);
+  SessionConfig config = BaseConfig("pbs");
+  config.keyspace_shards = 16;
+  config.shard_pipeline = 1;
+  config.exact_d = 8.0;
+
+  // The first cut that leaves both settled and pending shards.
+  std::shared_ptr<sync::ShardResumeState> first;
+  for (int steps = 1; steps < 64 && first == nullptr; ++steps) {
+    SessionResult cut = RunCutSession(config, pair.a, pair.b, steps, false);
+    ASSERT_FALSE(cut.ok);
+    if (cut.resume_state != nullptr && cut.resume_state->settled_count > 0 &&
+        !cut.resume_state->pending.empty()) {
+      first = cut.resume_state;
+    }
+  }
+  ASSERT_NE(first, nullptr) << "no cut left a partially settled session";
+
+  SessionConfig resumed = config;
+  resumed.resume = first;
+  const SessionResult second =
+      RunCutSession(resumed, pair.a, pair.b, 1 << 10, true);
+  ASSERT_FALSE(second.ok);
+  ASSERT_NE(second.resume_state, nullptr) << second.error;
+  EXPECT_TRUE(second.resume_state->pending.empty());
+  EXPECT_EQ(Sorted(second.resume_state->settled_difference), truth);
+
+  resumed.resume = second.resume_state;
+  SessionEngine initiator = SessionEngine::Initiator(resumed, pair.a);
+  SessionEngine responder = SessionEngine::Responder(pair.b);
+  PumpEngines(&initiator, &responder, [] { return size_t{1 << 16}; });
+  ASSERT_EQ(initiator.Status(), SessionStatus::kDone)
+      << initiator.result().error;
+  EXPECT_EQ(Sorted(initiator.TakeResult().outcome.difference), truth);
 }
 
 // A mutable store's incrementally maintained shard checksums are adopted
