@@ -1,9 +1,9 @@
-// Shared plumbing for the figure/table reproduction binaries.
+// Shared plumbing for the bench binaries.
 //
 // Every binary runs a reduced-scale sweep by default so the whole bench
 // suite finishes in minutes; set PBS_BENCH_FULL=1 to run the paper's scale
-// (|A| = 10^6, 1000 instances, d up to 10^5). Scale notes are printed into
-// the output so recorded runs are self-describing.
+// (|A| = 10^6, 1000 instances, d up to 10^5; see pbs/sim/figures.h). Scale
+// notes are printed into the output so recorded runs are self-describing.
 //
 // Machine-readable output: when PBS_BENCH_JSON=<path> is set, every
 // Recorder row (and any direct JsonEmitter call) is appended to <path> as
@@ -25,45 +25,13 @@
 
 #include "pbs/common/cpu_features.h"
 #include "pbs/gf/gf2m.h"
+#include "pbs/sim/figures.h"
 #include "pbs/sim/metrics.h"
 
 namespace pbs::bench {
 
-inline bool FullMode() {
-  const char* env = std::getenv("PBS_BENCH_FULL");
-  return env != nullptr && env[0] == '1';
-}
-
-struct Scale {
-  size_t set_size;
-  int instances;
-  std::vector<size_t> d_grid;
-  std::vector<size_t> slow_d_grid;  // For O(d^2) schemes (PinSketch).
-};
-
-inline Scale DefaultScale() {
-  if (FullMode()) {
-    return Scale{1000000, 1000,
-                 {10, 100, 1000, 10000, 100000},
-                 {10, 100, 1000, 10000, 30000}};
-  }
-  return Scale{100000, 10, {10, 100, 1000, 10000}, {10, 100, 1000}};
-}
-
-/// Instance count for schemes with O(d^2) (or worse) per-instance cost;
-/// quick mode trades success-rate resolution for wall-clock time there.
-inline int SlowSchemeInstances(const Scale& scale) {
-  return FullMode() ? scale.instances : std::max(4, scale.instances / 4);
-}
-
-inline void PrintHeader(const char* what, const Scale& scale) {
-  std::printf("== %s ==\n", what);
-  std::printf("mode=%s |A|=%zu instances=%d\n", FullMode() ? "FULL" : "quick",
-              scale.set_size, scale.instances);
-  std::printf(
-      "(set PBS_BENCH_FULL=1 for the paper's scale: |A|=1e6, 1000 "
-      "instances)\n\n");
-}
+/// PBS_BENCH_FULL=1: run at the paper's scale (pbs::DefaultScale()).
+inline bool FullMode() { return DefaultScale().full; }
 
 /// Runs `op` repeatedly for ~`budget_seconds` of wall clock (after untimed
 /// warm-up passes) split over several repetitions, and returns the best
@@ -119,6 +87,17 @@ class JsonEmitter {
   }
 
   bool enabled() const { return file_ != nullptr; }
+
+  /// Emits one record per row of `table`, keyed by its column names.
+  void Emit(const Table& table) {
+    for (const std::vector<Cell>& row : table.rows) {
+      std::vector<std::pair<std::string, std::string>> fields;
+      for (size_t c = 0; c < row.size(); ++c) {
+        fields.emplace_back(table.columns[c], row[c].text);
+      }
+      Emit(table.bench, fields);
+    }
+  }
 
   /// Emits {"bench": <bench>, "mode": quick|full, "cpu": <features>,
   /// <key>: <value>, ...}. The "cpu" tag (cpu::FeatureString(), e.g.
@@ -203,29 +182,29 @@ class JsonEmitter {
   std::FILE* file_ = nullptr;
 };
 
-/// Drop-in wrapper around ResultTable that additionally streams every row
-/// to the JSON emitter under a stable bench name. The figure/table benches
-/// use this so one PBS_BENCH_JSON run captures the whole sweep.
+/// Builds a Table row by row, streaming every row to the JSON emitter
+/// under a stable bench name, so one PBS_BENCH_JSON run captures the whole
+/// sweep.
 class Recorder {
  public:
   Recorder(std::string bench, std::vector<std::string> columns)
-      : bench_(std::move(bench)), columns_(columns), table_(std::move(columns)) {}
+      : table_{std::move(bench), "", std::move(columns), {}} {}
 
-  void AddRow(std::vector<std::string> cells) {
+  void AddRow(const std::vector<std::string>& cells) {
     std::vector<std::pair<std::string, std::string>> fields;
-    const size_t n = std::min(columns_.size(), cells.size());
+    const size_t n = std::min(table_.columns.size(), cells.size());
     fields.reserve(n);
-    for (size_t i = 0; i < n; ++i) fields.emplace_back(columns_[i], cells[i]);
-    JsonEmitter::Instance().Emit(bench_, fields);
-    table_.AddRow(std::move(cells));
+    for (size_t i = 0; i < n; ++i) {
+      fields.emplace_back(table_.columns[i], cells[i]);
+    }
+    JsonEmitter::Instance().Emit(table_.bench, fields);
+    table_.AddRow(cells);
   }
 
   void Print() const { table_.Print(); }
 
  private:
-  std::string bench_;
-  std::vector<std::string> columns_;
-  ResultTable table_;
+  Table table_;
 };
 
 }  // namespace pbs::bench

@@ -19,13 +19,11 @@
 using namespace pbs;
 
 int main() {
-  const auto scale = bench::DefaultScale();
   const size_t set_size = bench::FullMode() ? 100000 : 20000;
   const int instances = bench::FullMode() ? 20 : 5;
   std::printf("== Wire overhead: payload vs framed bytes ==\n");
   std::printf("mode=%s |A|=%zu instances=%d\n\n",
               bench::FullMode() ? "FULL" : "quick", set_size, instances);
-  (void)scale;
 
   bench::Recorder table("wire_overhead", {"d", "scheme", "payload_B", "estimator_B", "wire_B",
                      "frames", "overhead", "success"});

@@ -21,7 +21,9 @@ columns added after the baseline was recorded, are ignored) and prints
 per-record speedup ratios (> 1 is faster: baseline/new for ns_per_op,
 new/baseline for sessions_per_s). Any record worse than baseline by more
 than --regression-tolerance (default 10%) fails the script, so CI can
-gate on kernel AND server-throughput regressions:
+gate on kernel AND server-throughput regressions. wire_B (framed session
+bytes) is exact whatever the tolerance: any increase fails, and a decrease
+is flagged "changed, re-pin" so the baseline gets re-recorded:
 
     scripts/collect_bench.py run.jsonl --run-id pr5 --compare pr3 \\
         --report bench_delta.txt
@@ -60,11 +62,15 @@ MEASUREMENT_KEYS = {
 COMPARE_METRICS = (
     ("ns_per_op", "lower"),
     ("sessions_per_s", "higher"),
-    # Framed session bytes (bench_sharded_sync): fully determined by the
-    # seeds, so any drift at all is a protocol change -- the tolerance
-    # only forgives one that got *cheaper*.
+    # Framed session bytes (bench_sharded_sync, bench_fault_recovery):
+    # fully determined by the seeds, so any drift at all is a protocol
+    # change. Gated exactly (EXACT_METRICS), never with the tolerance.
     ("wire_B", "lower"),
 )
+
+# Seed-determined metrics: any increase is a regression whatever the
+# tolerance, and any decrease must be re-pinned in the baseline.
+EXACT_METRICS = {"wire_B"}
 
 
 def compare_metric(record):
@@ -104,7 +110,8 @@ def matches(new, base):
 
 def describe(record):
     parts = [str(record.get("bench", "?"))]
-    for key in ("kernel", "path", "scheme", "m", "n", "t", "d", "size",
+    for key in ("kernel", "path", "scheme", "scenario", "m", "n", "t", "d",
+                "size",
                 "sessions", "window", "shards", "identical_pct", "threads",
                 "mode"):
         if key in record:
@@ -131,8 +138,10 @@ def compare(new_records, trajectory, baseline_run_id, tolerance, report_path):
 
     lines = [f"speedups vs run_id '{baseline_run_id}' "
              f"(ratio > 1 is faster, "
-             f"regression threshold {tolerance:.0%}):", ""]
+             f"regression threshold {tolerance:.0%}; "
+             f"{', '.join(sorted(EXACT_METRICS))} exact):", ""]
     regressions = []
+    changed = []
     compared = 0
     matched_baseline_ids = set()
     for new in new_records:
@@ -152,16 +161,21 @@ def compare(new_records, trajectory, baseline_run_id, tolerance, report_path):
             base = max(candidates, key=lambda r: float(r[metric]))
         new_val = float(new[metric])
         base_val = float(base[metric])
+        exact = metric in EXACT_METRICS
+        slack = 0.0 if exact else tolerance
         if direction == "lower":
             ratio = base_val / new_val if new_val > 0 else float("inf")
-            regressed = new_val > base_val * (1.0 + tolerance)
+            regressed = new_val > base_val * (1.0 + slack)
         else:
             ratio = new_val / base_val if base_val > 0 else float("inf")
-            regressed = new_val < base_val * (1.0 - tolerance)
+            regressed = new_val < base_val * (1.0 - slack)
         flag = ""
         if regressed:
             flag = "  << REGRESSION"
             regressions.append(describe(new))
+        elif exact and new_val != base_val:
+            flag = "  << changed, re-pin"
+            changed.append(describe(new))
         lines.append(f"  {describe(new):<60} {base_val:>12.1f} -> "
                      f"{new_val:>12.1f} {metric}   x{ratio:5.2f}{flag}")
         compared += 1
@@ -184,7 +198,9 @@ def compare(new_records, trajectory, baseline_run_id, tolerance, report_path):
 
     lines.append("")
     lines.append(f"{compared} record(s) compared, "
-                 f"{len(regressions)} regression(s)")
+                 f"{len(regressions)} regression(s)"
+                 + (f", {len(changed)} exact record(s) changed (re-pin "
+                    f"the baseline)" if changed else ""))
     text = "\n".join(lines)
     print(text)
     if report_path:
@@ -216,7 +232,8 @@ def main():
                              "on regressions")
     parser.add_argument("--regression-tolerance", type=float, default=0.10,
                         help="fractional slowdown vs baseline that counts "
-                             "as a regression (default: %(default)s)")
+                             "as a regression; wire_B is always exact "
+                             "(default: %(default)s)")
     parser.add_argument("--report", default=None,
                         help="also write the --compare delta report to this "
                              "file")

@@ -10,7 +10,7 @@
 // single partition, a difference of d elements needs ~log2(d / t-bar)
 // split generations, so the scheme completes in O(log d) rounds of
 // message exchange -- "generally much larger than that in PBS", which is
-// the claim bench_related_rounds quantifies.
+// the claim the related_rounds experiment (pbs/sim/figures.h) checks.
 
 #ifndef PBS_BASELINES_RECURSIVE_CPI_H_
 #define PBS_BASELINES_RECURSIVE_CPI_H_

@@ -36,9 +36,9 @@ struct PbsConfig {
   double gamma = kTowGamma;
   /// Defensive cap on recursive three-way splits.
   int max_split_depth = 16;
-  /// Ablation switch (bench_ablation_procedure3): disables the Procedure-3
-  /// sub-universe check that discards fake distinct elements produced by
-  /// type (II) exceptions. Production code leaves this on; turning it off
+  /// Ablation switch (the ablation_procedure3 experiment): disables the
+  /// Procedure-3 sub-universe check that discards fake distinct elements
+  /// produced by type (II) exceptions. Production code leaves this on; turning it off
   /// quantifies the no-cost protection the paper describes in Section 2.3.
   bool subuniverse_check = true;
   /// Section 2.2.3's belt-and-braces option for mission-critical uses:

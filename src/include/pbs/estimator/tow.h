@@ -77,8 +77,8 @@ double TowEstimateFromDifference(const std::vector<uint64_t>& sym_diff,
                                  int ell, uint64_t seed);
 
 /// Inflation factor gamma such that Pr[d <= gamma * d-hat] >= 0.99 at
-/// ell = 128 (determined by the paper via Monte-Carlo; re-validated in
-/// bench_estimator_tow).
+/// ell = 128 (determined by the paper via Monte-Carlo; re-validated by the
+/// estimator_tow experiment in pbs/sim/figures.h).
 inline constexpr double kTowGamma = 1.38;
 inline constexpr int kTowDefaultSketches = 128;
 

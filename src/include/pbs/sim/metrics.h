@@ -4,6 +4,7 @@
 #define PBS_SIM_METRICS_H_
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,22 +23,36 @@ struct RunStats {
   double overhead_ratio = 0.0;
 };
 
-/// Column-aligned text table with a CSV echo (easy to plot).
-class ResultTable {
- public:
-  explicit ResultTable(std::vector<std::string> columns);
+/// One table cell: the printed text and, for numeric cells, the unrounded
+/// value checks read (NaN for text cells).
+struct Cell {
+  std::string text;
+  double value = std::numeric_limits<double>::quiet_NaN();
+};
 
-  void AddRow(std::vector<std::string> cells);
+/// Column-aligned result table with a CSV echo (easy to plot). The bench
+/// name and columns are the keys of its PBS_BENCH_JSON records.
+struct Table {
+  std::string bench;
+  std::string caption;  ///< Printed above the table (may be empty).
+  std::vector<std::string> columns;
+  std::vector<std::vector<Cell>> rows;
 
-  /// Renders aligned text followed by a `# csv:`-prefixed CSV block.
+  /// Appends a row of text cells, padded or cut to the column count.
+  void AddRow(const std::vector<std::string>& cells);
+
+  /// The cell of `column` in `row`; throws std::out_of_range if there is
+  /// no such cell.
+  const Cell& At(size_t row, const std::string& column) const;
+  double Value(size_t row, const std::string& column) const {
+    return At(row, column).value;
+  }
+
+  /// Renders the caption, aligned text and a `# csv:`-prefixed CSV block.
   std::string ToString() const;
 
   /// Prints to stdout.
   void Print() const;
-
- private:
-  std::vector<std::string> columns_;
-  std::vector<std::vector<std::string>> rows_;
 };
 
 /// Formatting helpers.

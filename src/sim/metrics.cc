@@ -1,60 +1,62 @@
 #include "pbs/sim/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 namespace pbs {
 
-ResultTable::ResultTable(std::vector<std::string> columns)
-    : columns_(std::move(columns)) {}
-
-void ResultTable::AddRow(std::vector<std::string> cells) {
-  cells.resize(columns_.size());
-  rows_.push_back(std::move(cells));
+void Table::AddRow(const std::vector<std::string>& cells) {
+  std::vector<Cell> row(columns.size());
+  for (size_t c = 0; c < row.size() && c < cells.size(); ++c) {
+    row[c].text = cells[c];
+  }
+  rows.push_back(std::move(row));
 }
 
-std::string ResultTable::ToString() const {
-  std::vector<size_t> widths(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+const Cell& Table::At(size_t row, const std::string& column) const {
+  const auto it = std::find(columns.begin(), columns.end(), column);
+  if (it == columns.end()) {
+    throw std::out_of_range(bench + " has no column '" + column + "'");
+  }
+  return rows.at(row).at(static_cast<size_t>(it - columns.begin()));
+}
+
+std::string Table::ToString() const {
+  std::vector<std::vector<std::string>> text = {columns};
+  for (const auto& row : rows) {
+    text.emplace_back();
+    for (const Cell& cell : row) text.back().push_back(cell.text);
+  }
+  std::vector<size_t> widths(columns.size());
+  for (const auto& line : text) {
+    for (size_t c = 0; c < line.size(); ++c) {
+      widths[c] = std::max(widths[c], line[c].size());
     }
   }
 
   std::ostringstream os;
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : "  ");
-      os << row[c];
-      for (size_t pad = row[c].size(); pad < widths[c]; ++pad) os << ' ';
+  if (!caption.empty()) os << caption << '\n';
+  size_t total = 0;
+  for (size_t c = 0; c < widths.size(); ++c) total += widths[c] + (c ? 2 : 0);
+  for (size_t i = 0; i < text.size(); ++i) {
+    for (size_t c = 0; c < text[i].size(); ++c) {
+      os << (c == 0 ? "" : "  ") << text[i][c]
+         << std::string(widths[c] - text[i][c].size(), ' ');
     }
     os << '\n';
-  };
-  emit_row(columns_);
-  {
-    size_t total = 0;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      total += widths[c] + (c == 0 ? 0 : 2);
-    }
-    os << std::string(total, '-') << '\n';
+    if (i == 0) os << std::string(total, '-') << '\n';
   }
-  for (const auto& row : rows_) emit_row(row);
-
-  os << "# csv: ";
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    os << (c == 0 ? "" : ",") << columns_[c];
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
+  for (const auto& line : text) {
     os << "# csv: ";
-    for (size_t c = 0; c < row.size(); ++c) os << (c == 0 ? "" : ",") << row[c];
+    for (size_t c = 0; c < line.size(); ++c) os << (c ? "," : "") << line[c];
     os << '\n';
   }
   return os.str();
 }
 
-void ResultTable::Print() const {
+void Table::Print() const {
   const std::string s = ToString();
   std::fwrite(s.data(), 1, s.size(), stdout);
   std::fflush(stdout);

@@ -1,12 +1,11 @@
 #include "pbs/sim/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "pbs/common/parallel.h"
 #include "pbs/estimator/tow.h"
 
 namespace pbs {
@@ -92,36 +91,17 @@ RunStats RunSchemeWithCallback(
     stats.mean_rounds += outcome.rounds;
   };
 
-  int threads = config.threads;
-  if (threads == 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  threads = std::clamp(threads, 1, std::max(1, config.instances));
-
-  if (threads == 1) {
-    for (int i = 0; i < config.instances; ++i) {
-      const InstanceOutcome outcome = run_one(i);
-      accumulate(outcome);
-      if (callback) callback(outcome);
-    }
-  } else {
-    std::vector<InstanceOutcome> outcomes(config.instances);
-    std::atomic<int> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back([&] {
-        for (int i = next.fetch_add(1); i < config.instances;
-             i = next.fetch_add(1)) {
-          outcomes[i] = run_one(i);
-        }
-      });
-    }
-    for (auto& worker : pool) worker.join();
-    for (const InstanceOutcome& outcome : outcomes) {
-      accumulate(outcome);
-      if (callback) callback(outcome);
-    }
+  // Outcomes are stored per index and folded in order, so the results are
+  // identical for every thread count.
+  std::vector<InstanceOutcome> outcomes(std::max(config.instances, 0));
+  ParallelFor pool(std::min(ParallelFor::ResolveThreads(config.threads),
+                            std::max(1, config.instances)));
+  pool.Run(outcomes.size(), [&](size_t i, int) {
+    outcomes[i] = run_one(static_cast<int>(i));
+  });
+  for (const InstanceOutcome& outcome : outcomes) {
+    accumulate(outcome);
+    if (callback) callback(outcome);
   }
   const double n = std::max(config.instances, 1);
   stats.success_rate /= n;

@@ -2,21 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace pbs {
 namespace {
 
-TEST(ResultTable, RendersAlignedColumnsAndCsv) {
-  ResultTable table({"d", "scheme", "bytes"});
+TEST(Table, RendersAlignedColumnsAndCsv) {
+  Table table{"bench", "caption", {"d", "scheme", "bytes"}, {}};
   table.AddRow({"10", "PBS", "123"});
   table.AddRow({"100", "PinSketch", "4"});
   const std::string s = table.ToString();
-  EXPECT_NE(s.find("d    scheme     bytes"), std::string::npos);
+  EXPECT_EQ(s.rfind("caption\nd    scheme     bytes", 0), 0u);
+  EXPECT_EQ(table.At(1, "scheme").text, "PinSketch");
+  EXPECT_THROW(table.At(0, "rounds"), std::out_of_range);
   EXPECT_NE(s.find("# csv: d,scheme,bytes"), std::string::npos);
   EXPECT_NE(s.find("# csv: 100,PinSketch,4"), std::string::npos);
 }
 
-TEST(ResultTable, ShortRowsArePadded) {
-  ResultTable table({"a", "b", "c"});
+TEST(Table, ShortRowsArePadded) {
+  Table table{"bench", "", {"a", "b", "c"}, {}};
   table.AddRow({"1"});
   const std::string s = table.ToString();
   EXPECT_NE(s.find("# csv: 1,,"), std::string::npos);
