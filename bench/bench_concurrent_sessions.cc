@@ -20,9 +20,9 @@
 //
 // Env knobs: PBS_BENCH_SESSIONS=N runs one throughput stage of N sessions
 // instead of the 1k/10k pair; PBS_BENCH_SHARDS=N sets the server shard
-// count (default 4); PBS_BENCH_THREADS=N hands every server-side session
-// N per-group decode threads; PBS_BENCH_FULL=1 scales the parity stage to
-// 128 clients over 100k-element sets.
+// count (default 4); PBS_BENCH_FULL=1 scales the parity stage to 128
+// clients over 100k-element sets. The threads column is always 1 (a
+// session runs on one thread); it stays so rows key-match older records.
 
 #include <algorithm>
 #include <chrono>
@@ -373,9 +373,6 @@ std::string Format1(double v) {
 
 int main() {
   const bool full = pbs::bench::FullMode();
-  const char* threads_env = std::getenv("PBS_BENCH_THREADS");
-  const int decode_threads =
-      threads_env != nullptr ? std::max(1, std::atoi(threads_env)) : 1;
   const char* shards_env = std::getenv("PBS_BENCH_SHARDS");
   const int shards =
       shards_env != nullptr ? std::max(1, std::atoi(shards_env)) : 4;
@@ -394,10 +391,9 @@ int main() {
       std::make_shared<const std::vector<uint64_t>>(pair.a);
 
   std::printf("== concurrent sessions: async clients vs one server ==\n");
-  std::printf("mode=%s parity: %d clients/scheme |A|=%zu d=%zu "
-              "decode_threads=%d\n\n",
+  std::printf("mode=%s parity: %d clients/scheme |A|=%zu d=%zu\n\n",
               full ? "FULL" : "quick", parity_clients, pair.a.size(),
-              pair.truth_diff.size(), decode_threads);
+              pair.truth_diff.size());
 
   bool all_parity = true;
   for (const std::string& scheme : pbs::SchemeRegistry::Instance().Names()) {
@@ -405,7 +401,6 @@ int main() {
     options.shards = 1;  // Parity leg: the classic single-loop server.
     options.max_sessions = parity_clients;
     options.idle_timeout_ms = 120000;
-    options.decode_threads = decode_threads;
     std::string error;
     auto server = pbs::ReconcileServer::Create(options, pair.b, &error);
     if (!server) {
@@ -443,7 +438,7 @@ int main() {
 
     table.AddRow(
         {scheme, std::to_string(parity_clients),
-         std::to_string(parity_clients), "1", std::to_string(decode_threads),
+         std::to_string(parity_clients), "1", "1",
          Format1(outcome.wall_ms),
          Format1(parity_clients / (outcome.wall_ms / 1000.0)),
          Format1(Percentile(outcome.latency_ms, 50)),
@@ -483,7 +478,6 @@ int main() {
     options.shards = shards;
     options.max_sessions = static_cast<int>(window) + 64;
     options.idle_timeout_ms = 120000;
-    options.decode_threads = decode_threads;
     std::string error;
     auto server = pbs::ReconcileServer::Create(options, small.b, &error);
     if (!server) {
@@ -529,8 +523,8 @@ int main() {
     }
     table.AddRow(
         {"mixed", std::to_string(sessions), std::to_string(window),
-         std::to_string(server->shard_count()),
-         std::to_string(decode_threads), Format1(outcome.wall_ms),
+         std::to_string(server->shard_count()), "1",
+         Format1(outcome.wall_ms),
          Format1(sessions / (outcome.wall_ms / 1000.0)),
          Format1(Percentile(outcome.latency_ms, 50)),
          Format1(Percentile(outcome.latency_ms, 99)),

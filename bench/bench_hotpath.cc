@@ -13,10 +13,8 @@
 //
 // Output: one table row per (kernel, path, n, t, d, threads) with ns/op
 // and op/s; JSON via PBS_BENCH_JSON (see docs/BENCHMARKS.md). The
-// pbs_round_cycle rows drive the real PbsAlice/PbsBob endpoints over a
-// multi-group plan at decode_threads = 1/2/4 -- the per-group parallel
-// decode records (near-linear scaling expected on idle multi-core
-// hardware; single-core machines record the pool's overhead instead).
+// pbs_round_cycle row drives the real PbsAlice/PbsBob endpoints over a
+// multi-group plan.
 
 #include <algorithm>
 #include <chrono>
@@ -174,15 +172,13 @@ int main_impl() {
     }
   }
 
-  // ---- Endpoint rounds over a multi-group plan: parallel decode. ----
+  // ---- Endpoint rounds over a multi-group plan. ----
   // One op = the complete multi-round request/reply loop of a fresh
-  // endpoint pair. Construction, planning, and the pool spawn happen
-  // OUTSIDE the timed region (they are per-session setup, not per-round
-  // work), so the threads=N rows isolate what decode_threads actually
-  // parallelizes: the per-group encode/decode phases of every round.
-  // Reported is the best rep (least scheduler noise); near-linear scaling
-  // needs idle multi-core hardware -- single-core machines record the
-  // pool's fork/join overhead instead.
+  // endpoint pair. Construction and planning happen OUTSIDE the timed
+  // region (they are per-session setup, not per-round work), so the row
+  // isolates the per-group encode/decode phases of every round. Reported
+  // is the best rep (least scheduler noise). The threads column stays 1
+  // so the rows key-match the earlier records.
   {
     const int d = full ? 512 : 256;
     const int reps = full ? 40 : 15;
@@ -190,49 +186,45 @@ int main_impl() {
         pbs::GenerateSetPair(4000, static_cast<size_t>(d), 32, 0x9A5EED);
     std::vector<uint64_t> truth = pair.truth_diff;
     std::sort(truth.begin(), truth.end());
-    for (int threads : {1, 2, 4}) {
-      pbs::PbsConfig cfg;
-      cfg.decode_threads = threads;
-      const uint64_t seed = 0xB0B;
-      int plan_n = 0;
-      int plan_t = 0;
-      bool ok = true;
-      double best_ns = 1e18;
-      std::vector<uint8_t> req, reply;
-      for (int rep = 0; rep < reps; ++rep) {
-        pbs::PbsAlice alice(pair.a, cfg, seed);
-        pbs::PbsBob bob(pair.b, cfg, seed);
-        alice.SetDifferenceEstimate(d);
-        bob.SetDifferenceEstimate(d);
-        const auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < cfg.max_rounds && !alice.finished(); ++r) {
-          alice.MakeRoundRequest(&req);
-          bob.HandleRoundRequest(req, &reply);
-          alice.HandleRoundReply(reply);
-        }
-        const auto stop = std::chrono::steady_clock::now();
-        best_ns = std::min(
-            best_ns,
-            std::chrono::duration<double, std::nano>(stop - start).count());
-        plan_n = alice.plan().params.n;
-        plan_t = alice.plan().params.t;
-        ok = ok && alice.finished();
-        auto diff = alice.Difference();
-        std::sort(diff.begin(), diff.end());
-        ok = ok && diff == truth;
+    const pbs::PbsConfig cfg;
+    const uint64_t seed = 0xB0B;
+    int plan_n = 0;
+    int plan_t = 0;
+    bool ok = true;
+    double best_ns = 1e18;
+    std::vector<uint8_t> req, reply;
+    for (int rep = 0; rep < reps; ++rep) {
+      pbs::PbsAlice alice(pair.a, cfg, seed);
+      pbs::PbsBob bob(pair.b, cfg, seed);
+      alice.SetDifferenceEstimate(d);
+      bob.SetDifferenceEstimate(d);
+      const auto start = std::chrono::steady_clock::now();
+      for (int r = 0; r < cfg.max_rounds && !alice.finished(); ++r) {
+        alice.MakeRoundRequest(&req);
+        bob.HandleRoundRequest(req, &reply);
+        alice.HandleRoundReply(reply);
       }
-      if (!ok) {
-        std::fprintf(stderr,
-                     "FAIL: threads=%d endpoint reconcile diverged from the "
-                     "planted difference\n",
-                     threads);
-        return 1;
-      }
-      rec.AddRow({"pbs_round_cycle", "endpoints", std::to_string(plan_n),
-                  std::to_string(plan_t), std::to_string(d),
-                  std::to_string(threads), pbs::FormatDouble(best_ns, 1),
-                  pbs::bench::FormatMops(best_ns)});
+      const auto stop = std::chrono::steady_clock::now();
+      best_ns = std::min(
+          best_ns,
+          std::chrono::duration<double, std::nano>(stop - start).count());
+      plan_n = alice.plan().params.n;
+      plan_t = alice.plan().params.t;
+      ok = ok && alice.finished();
+      auto diff = alice.Difference();
+      std::sort(diff.begin(), diff.end());
+      ok = ok && diff == truth;
     }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "FAIL: endpoint reconcile diverged from the planted "
+                   "difference\n");
+      return 1;
+    }
+    rec.AddRow({"pbs_round_cycle", "endpoints", std::to_string(plan_n),
+                std::to_string(plan_t), std::to_string(d), "1",
+                pbs::FormatDouble(best_ns, 1),
+                pbs::bench::FormatMops(best_ns)});
   }
 
   rec.Print();

@@ -18,6 +18,18 @@ trap 'rm -rf "$WORK"' EXIT
 "$CLI" gen "$WORK/a.txt" 10000 --seed 7 >/dev/null
 "$CLI" mutate "$WORK/a.txt" "$WORK/b.txt" --drop 50 --add 50 --seed 8 >/dev/null
 
+# A mistyped flag (--shard-keyspace for --shards-keyspace) must fail with
+# the subcommand's usage line, not run a monolithic session by default.
+status=0
+"$CLI" connect "$WORK/a.txt" --port "$PORT" --shard-keyspace 16 \
+  2>"$WORK/flag.log" >/dev/null || status=$?
+if [[ "$status" != 2 ]] || ! grep -q "unknown flag --shard-keyspace" "$WORK/flag.log"; then
+  echo "FAIL: unknown connect flag exited $status"
+  cat "$WORK/flag.log"
+  exit 1
+fi
+echo "OK: unknown flag rejected"
+
 schemes=$("$CLI" list-schemes | tail -n +2 | awk '{print $1}')
 for scheme in $schemes; do
   : >"$WORK/serve.log"

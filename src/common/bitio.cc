@@ -84,7 +84,9 @@ bool BitReader::ReadBytes(uint8_t* out, size_t size) {
     pos_ = size_bits_;
     return false;
   }
-  std::memcpy(out, data_ + pos_ / 8, size);
+  // memcpy's pointers must be non-null even for size 0, and an empty
+  // body's buffer may be.
+  if (size != 0) std::memcpy(out, data_ + pos_ / 8, size);
   pos_ += size * 8;
   return true;
 }

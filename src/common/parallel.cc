@@ -20,8 +20,8 @@ struct ParallelFor::Impl {
   int active_workers = 0;  // Spawned workers still running the current job.
   bool shutting_down = false;
   // Work distribution: each worker claims indices with fetch_add. Plain
-  // increments (chunk size 1) are right for this pool's use -- a few
-  // hundred group decodes of microseconds each.
+  // increments (chunk size 1) are right for this pool's use -- tens to
+  // thousands of reconciliation instances of milliseconds each.
   std::atomic<size_t> next{0};
   std::vector<std::thread> workers;
 

@@ -1,21 +1,17 @@
 #include "pbs/core/pbs_endpoints.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-
-#include <array>
 
 #include "pbs/common/bitio.h"
 #include "pbs/common/mset_hash.h"
-#include "pbs/common/parallel.h"
 #include "pbs/common/workspace.h"
-#include <algorithm>
-
 #include "pbs/core/element_store.h"
 #include "pbs/core/group_state.h"
 #include "pbs/core/messages.h"
@@ -93,19 +89,7 @@ struct PbsAlice::Impl {
   std::vector<uint64_t> xors_scratch;
   std::vector<Unit> next_units_scratch;
   std::vector<bool> flags_scratch;
-
-  // Per-group parallel encode (config.decode_threads != 1): the groups'
-  // parity bitmaps and sketches are independent, so phase A builds them
-  // concurrently -- one scratch block per worker, one flat staging slice
-  // per unit -- and phase B serializes the staged syndromes in canonical
-  // unit order, byte-identical to the serial writer.
-  struct WorkerScratch {
-    ParityBitmap pb;
-    std::optional<PowerSumSketch> sketch;  // Re-made per plan.
-  };
-  std::vector<std::unique_ptr<WorkerScratch>> workers;
-  std::unique_ptr<ParallelFor> pool;  // Null when decode_threads == 1.
-  std::vector<uint64_t> enc_syndromes;  // units.size() * t staging slots.
+  std::optional<PowerSumSketch> sketch_scratch;  // Re-made per plan.
 
   Impl(std::vector<uint64_t> elems, const PbsConfig& cfg, uint64_t seed)
       : config(cfg), family(seed), elements(std::move(elems)) {}
@@ -113,16 +97,7 @@ struct PbsAlice::Impl {
   void BuildUnits() {
     const uint32_t g = static_cast<uint32_t>(plan.params.g);
     field = GF2m(plan.params.m);
-    const int nthreads = ParallelFor::ResolveThreads(config.decode_threads);
-    if (nthreads > 1 && pool == nullptr) {
-      pool = std::make_unique<ParallelFor>(nthreads);
-    }
-    const int scratch_count = pool != nullptr ? pool->threads() : 1;
-    workers.clear();
-    for (int i = 0; i < scratch_count; ++i) {
-      workers.push_back(std::make_unique<WorkerScratch>());
-      workers.back()->sketch.emplace(field, plan.params.t);
-    }
+    sketch_scratch.emplace(field, plan.params.t);
     units.clear();
     units.resize(g);
     for (uint32_t i = 0; i < g; ++i) {
@@ -193,43 +168,22 @@ void PbsAlice::MakeRoundRequest(std::vector<uint8_t>* out) {
   assert(a.plan_ready);
   ++a.round;
   const auto start = Clock::now();
-  const int t = a.plan.params.t;
-  const int m = a.plan.params.m;
-  const size_t n_units = a.units.size();
-
-  // Phase A (parallel over units): bin each group and stage its sketch's
-  // odd syndromes in the unit's flat slice.
-  a.enc_syndromes.resize(n_units * static_cast<size_t>(t));
-  const auto encode_unit = [&a, t](size_t u, int worker) {
-    const Impl::Unit& unit = a.units[u];
-    if (unit.settled) return;
-    Impl::WorkerScratch& scratch = *a.workers[worker];
-    const SaltedHash h(unit.core.BinSalt(a.family, a.round));
-    ParityBitmap::BuildInto(unit.working, h, a.plan.params.n, &scratch.pb);
-    scratch.pb.ToSketchInto(&*scratch.sketch);
-    const std::vector<uint64_t>& odd = scratch.sketch->odd_syndromes();
-    std::copy(odd.begin(), odd.end(),
-              a.enc_syndromes.begin() + u * static_cast<size_t>(t));
-  };
-  if (a.pool != nullptr) {
-    a.pool->Run(n_units, encode_unit);
-  } else {
-    for (size_t u = 0; u < n_units; ++u) encode_unit(u, 0);
-  }
-
-  // Phase B (serial): settled flags, then the staged syndromes in
-  // canonical unit order -- byte-identical to serializing each sketch
-  // inline, for any thread count.
   BitWriter& w = a.writer;
   w.Clear();
   if (a.have_flags) {
     for (bool settled : a.last_settled) w.WriteBit(settled);
     a.have_flags = false;
   }
-  for (size_t u = 0; u < n_units; ++u) {
-    if (a.units[u].settled) continue;
-    const uint64_t* syn = a.enc_syndromes.data() + u * static_cast<size_t>(t);
-    for (int i = 0; i < t; ++i) w.WriteBits(syn[i], m);
+  // Each active unit: bin its group, sketch the bitmap, ship the odd
+  // syndromes, in canonical unit order.
+  const int m = a.plan.params.m;
+  PowerSumSketch& sketch = *a.sketch_scratch;
+  for (const Impl::Unit& unit : a.units) {
+    if (unit.settled) continue;
+    const SaltedHash h(unit.core.BinSalt(a.family, a.round));
+    ParityBitmap::BuildInto(unit.working, h, a.plan.params.n, &a.pb_scratch);
+    a.pb_scratch.ToSketchInto(&sketch);
+    for (uint64_t syndrome : sketch.odd_syndromes()) w.WriteBits(syndrome, m);
   }
 
   a.timers.encode_seconds += Seconds(start, Clock::now());
@@ -241,6 +195,7 @@ bool PbsAlice::HandleRoundReply(const std::vector<uint8_t>& reply) {
   const auto start = Clock::now();
   BitReader r(reply);
   const int count_bits = wire::CountBits(a.plan.params.t);
+  const int t = a.plan.params.t;
   const int m = a.plan.params.m;
   const int sig_bits = a.config.sig_bits;
   const uint32_t g = static_cast<uint32_t>(a.plan.params.g);
@@ -267,6 +222,7 @@ bool PbsAlice::HandleRoundReply(const std::vector<uint8_t>& reply) {
     }
 
     const int count = static_cast<int>(r.ReadBits(count_bits));
+    if (count > t) return false;  // Bob decodes at most t positions.
     std::vector<uint64_t>& positions = a.positions_scratch;
     std::vector<uint64_t>& xors = a.xors_scratch;
     positions.resize(count);
@@ -274,6 +230,9 @@ bool PbsAlice::HandleRoundReply(const std::vector<uint8_t>& reply) {
     for (int i = 0; i < count; ++i) positions[i] = r.ReadBits(m);
     for (int i = 0; i < count; ++i) xors[i] = r.ReadBits(sig_bits);
     const uint64_t bob_checksum = r.ReadBits(sig_bits);
+    // A truncated reply reads as zeros ("decoded, count 0, checksum 0"),
+    // which would settle every unit whose checksum happens to be 0.
+    if (r.overflowed()) return false;
 
     // Recover each candidate distinct element (Procedures 1 and 3).
     const SaltedHash h(unit.core.BinSalt(a.family, a.round));
@@ -304,7 +263,7 @@ bool PbsAlice::HandleRoundReply(const std::vector<uint8_t>& reply) {
   a.last_settled.assign(flags.begin(), flags.end());
   a.have_flags = true;
   a.timers.decode_seconds += Seconds(start, Clock::now());
-  return a.units.empty();
+  return true;
 }
 
 bool PbsAlice::finished() const {
@@ -384,33 +343,16 @@ struct PbsBob::Impl {
   BitWriter writer;
   std::vector<Unit> next_units_scratch;
 
-  // Per-group parallel decode (config.decode_threads != 1). The round is
-  // a three-phase pipeline: (1) serial -- stage every unit's peer sketch
-  // out of the request bitstream; (2) parallel over units -- bin, sketch,
-  // merge, BCH-decode each group into its flat result slice, each worker
-  // using its own Workspace/bitmap/sketch scratch; (3) serial -- write
-  // the reply in canonical unit order. Results are written to per-unit
-  // slots and serialized in order, so the reply bytes are identical for
-  // every thread count.
-  struct WorkerScratch {
-    Workspace ws;
-    ParityBitmap pb;
-    std::optional<PowerSumSketch> diff_sketch;  // Re-made per plan.
-    std::vector<uint64_t> positions;
-  };
-  std::vector<std::unique_ptr<WorkerScratch>> workers;
-  std::unique_ptr<ParallelFor> pool;  // Null when decode_threads == 1.
-  // Serial lane-blocked decode scratch (decode_threads == 1): up to
-  // PowerSumSketch::kDecodeBatch units are staged and handed to one
-  // DecodeBatchInto call, so neighboring groups' Chien searches advance in
-  // SIMD lanes instead of serially. Results are identical to the per-unit
-  // path (DecodeBatchInto is pinned bit-identical to DecodeInto).
+  // Lane-blocked decode scratch: up to PowerSumSketch::kDecodeBatch units
+  // are staged and handed to one DecodeBatchInto call, so neighboring
+  // groups' Chien searches advance in SIMD lanes instead of serially.
   struct LaneScratch {
     std::vector<ParityBitmap> bitmaps;
     std::vector<PowerSumSketch> sketches;  // Re-made per plan.
     std::vector<std::vector<uint64_t>> positions;
   };
   LaneScratch lanes;
+  Workspace ws;
   std::vector<uint64_t> alice_syndromes;  // units.size() * t, wire order.
   std::vector<uint64_t> unit_positions;   // units.size() * t result slots.
   std::vector<uint64_t> unit_xors;        // Matching per-position XOR sums.
@@ -425,18 +367,8 @@ struct PbsBob::Impl {
     return c.value();
   }
 
-  void SetupWorkers() {
+  void SetupLanes() {
     field = GF2m(plan.params.m);
-    const int nthreads = ParallelFor::ResolveThreads(config.decode_threads);
-    if (nthreads > 1 && pool == nullptr) {
-      pool = std::make_unique<ParallelFor>(nthreads);
-    }
-    const int scratch_count = pool != nullptr ? pool->threads() : 1;
-    workers.clear();
-    for (int i = 0; i < scratch_count; ++i) {
-      workers.push_back(std::make_unique<WorkerScratch>());
-      workers.back()->diff_sketch.emplace(field, plan.params.t);
-    }
     const size_t kB = static_cast<size_t>(PowerSumSketch::kDecodeBatch);
     lanes.bitmaps.resize(kB);
     lanes.positions.resize(kB);
@@ -449,7 +381,7 @@ struct PbsBob::Impl {
 
   void BuildUnits() {
     const uint32_t g = static_cast<uint32_t>(plan.params.g);
-    SetupWorkers();
+    SetupLanes();
     units.clear();
     units.resize(g);
     for (uint32_t i = 0; i < g; ++i) units[i].core = UnitCore::Root(family, i);
@@ -489,7 +421,7 @@ struct PbsBob::Impl {
   /// bitmaps/syndromes straight out of the layout.
   void AdoptLayout() {
     const uint32_t g = static_cast<uint32_t>(plan.params.g);
-    SetupWorkers();
+    SetupLanes();
     units.clear();
     units.resize(g);
     for (uint32_t i = 0; i < g; ++i) {
@@ -553,7 +485,7 @@ void PbsBob::SetDifferenceEstimate(int d_used) {
   }
 }
 
-void PbsBob::HandleRoundRequest(const std::vector<uint8_t>& request,
+bool PbsBob::HandleRoundRequest(const std::vector<uint8_t>& request,
                                 std::vector<uint8_t>* reply) {
   Impl& b = *impl_;
   assert(b.plan_ready);
@@ -599,121 +531,81 @@ void PbsBob::HandleRoundRequest(const std::vector<uint8_t>& request,
   const size_t n_units = b.units.size();
   const size_t stride = static_cast<size_t>(t);
 
-  // Phase 1 (serial): stage every unit's peer sketch out of the request
-  // bitstream (the bit-serial reader forces canonical order here).
+  // Phase 1: stage every unit's peer sketch out of the request bitstream.
   const auto read_start = Clock::now();
   b.alice_syndromes.resize(n_units * stride);
   for (size_t u = 0; u < n_units; ++u) {
     uint64_t* syn = b.alice_syndromes.data() + u * stride;
     for (int i = 0; i < t; ++i) syn[i] = r.ReadBits(m);
   }
+
+  // A truncated request reads as zero syndromes and zero settled flags;
+  // answering it would settle units against a sketch Alice never sent.
+  if (r.overflowed()) return false;
   b.unit_counts.resize(n_units);
   b.unit_positions.resize(n_units * stride);
   b.unit_xors.resize(n_units * stride);
 
-  // Phase 2 (parallel over units): bin, sketch, merge, BCH-decode each
-  // group into its flat result slice. Shared state is read-only (element
-  // lists, field tables, hash family); every mutable object is per-worker
-  // or per-unit, as common/parallel.h's ownership rules require.
+  // Phase 2: bin, sketch, merge and BCH-decode each group into its flat
+  // result slice, kDecodeBatch units per DecodeBatchInto call so the
+  // per-group Chien searches run in SIMD lanes.
   const auto decode_start = Clock::now();
   b.timers.encode_seconds += Seconds(read_start, decode_start);
-  const auto decode_unit = [&b, n, stride](size_t u, int worker) {
-    const Impl::Unit& unit = b.units[u];
-    Impl::WorkerScratch& scratch = *b.workers[worker];
-    PowerSumSketch& diff_sketch = *scratch.diff_sketch;
-    const ParityBitmap* pb;
-    if (!b.partitioned) {
-      // Adopted round 1: units are the g roots in group order, and the
-      // store maintained exactly the bitmap/sketch this unit would have
-      // built (same seed, same round-1 bin salt), so read both straight
-      // out of the layout instead of re-binning the group.
-      pb = &b.layout->bitmaps[u];
-      diff_sketch.Reset();
-      diff_sketch.MergeOdd(Span<const uint64_t>(
-          b.layout->syndromes.data() + u * stride, stride));
-    } else {
-      const SaltedHash h(unit.core.BinSalt(b.family, b.round));
-      ParityBitmap::BuildInto(unit.elements, h, n, &scratch.pb);
-      pb = &scratch.pb;
-      scratch.pb.ToSketchInto(&diff_sketch);
-    }
-    diff_sketch.MergeOdd(Span<const uint64_t>(
-        b.alice_syndromes.data() + u * stride, stride));
-    if (!diff_sketch.DecodeInto(&scratch.positions, scratch.ws)) {
-      b.unit_counts[u] = -1;
-      return;
-    }
-    const int count = static_cast<int>(scratch.positions.size());
-    b.unit_counts[u] = count;
-    uint64_t* positions = b.unit_positions.data() + u * stride;
-    uint64_t* xors = b.unit_xors.data() + u * stride;
-    for (int i = 0; i < count; ++i) {
-      const uint64_t pos = scratch.positions[i];
-      positions[i] = pos;
-      xors[i] = pb->xor_sum[pos];
-    }
-  };
-  if (b.pool != nullptr) {
-    b.pool->Run(n_units, decode_unit);
-  } else {
-    // Serial path: stage up to kDecodeBatch units per block and decode them
-    // through one DecodeBatchInto call, so the per-group Chien searches run
-    // in SIMD lanes. Per-unit results are bit-identical to decode_unit, so
-    // the reply bytes stay the same as the pool path's.
-    constexpr size_t kB = static_cast<size_t>(PowerSumSketch::kDecodeBatch);
-    const PowerSumSketch* lane_sketch[kB];
-    std::vector<uint64_t>* lane_out[kB];
-    const ParityBitmap* lane_pb[kB];
-    uint8_t lane_ok[kB];
-    Workspace& ws = b.workers[0]->ws;
-    for (size_t base = 0; base < n_units; base += kB) {
-      const size_t blk = std::min(kB, n_units - base);
-      for (size_t l = 0; l < blk; ++l) {
-        const size_t u = base + l;
-        const Impl::Unit& unit = b.units[u];
-        PowerSumSketch& diff_sketch = b.lanes.sketches[l];
-        if (!b.partitioned) {
-          lane_pb[l] = &b.layout->bitmaps[u];
-          diff_sketch.Reset();
-          diff_sketch.MergeOdd(Span<const uint64_t>(
-              b.layout->syndromes.data() + u * stride, stride));
-        } else {
-          const SaltedHash h(unit.core.BinSalt(b.family, b.round));
-          ParityBitmap::BuildInto(unit.elements, h, n, &b.lanes.bitmaps[l]);
-          lane_pb[l] = &b.lanes.bitmaps[l];
-          b.lanes.bitmaps[l].ToSketchInto(&diff_sketch);
-        }
+  constexpr size_t kB = static_cast<size_t>(PowerSumSketch::kDecodeBatch);
+  const PowerSumSketch* lane_sketch[kB];
+  std::vector<uint64_t>* lane_out[kB];
+  const ParityBitmap* lane_pb[kB];
+  uint8_t lane_ok[kB];
+  for (size_t base = 0; base < n_units; base += kB) {
+    const size_t blk = std::min(kB, n_units - base);
+    for (size_t l = 0; l < blk; ++l) {
+      const size_t u = base + l;
+      const Impl::Unit& unit = b.units[u];
+      PowerSumSketch& diff_sketch = b.lanes.sketches[l];
+      if (!b.partitioned) {
+        // Adopted round 1: units are the g roots in group order, and the
+        // store maintained exactly the bitmap/sketch this unit would have
+        // built (same seed, same round-1 bin salt), so read both straight
+        // out of the layout instead of re-binning the group.
+        lane_pb[l] = &b.layout->bitmaps[u];
+        diff_sketch.Reset();
         diff_sketch.MergeOdd(Span<const uint64_t>(
-            b.alice_syndromes.data() + u * stride, stride));
-        lane_sketch[l] = &diff_sketch;
-        lane_out[l] = &b.lanes.positions[l];
+            b.layout->syndromes.data() + u * stride, stride));
+      } else {
+        const SaltedHash h(unit.core.BinSalt(b.family, b.round));
+        ParityBitmap::BuildInto(unit.elements, h, n, &b.lanes.bitmaps[l]);
+        lane_pb[l] = &b.lanes.bitmaps[l];
+        b.lanes.bitmaps[l].ToSketchInto(&diff_sketch);
       }
-      PowerSumSketch::DecodeBatchInto(
-          Span<const PowerSumSketch* const>(lane_sketch, blk),
-          Span<std::vector<uint64_t>* const>(lane_out, blk),
-          Span<uint8_t>(lane_ok, blk), ws);
-      for (size_t l = 0; l < blk; ++l) {
-        const size_t u = base + l;
-        if (!lane_ok[l]) {
-          b.unit_counts[u] = -1;
-          continue;
-        }
-        const std::vector<uint64_t>& decoded = b.lanes.positions[l];
-        const int count = static_cast<int>(decoded.size());
-        b.unit_counts[u] = count;
-        uint64_t* positions = b.unit_positions.data() + u * stride;
-        uint64_t* xors = b.unit_xors.data() + u * stride;
-        for (int i = 0; i < count; ++i) {
-          const uint64_t pos = decoded[i];
-          positions[i] = pos;
-          xors[i] = lane_pb[l]->xor_sum[pos];
-        }
+      diff_sketch.MergeOdd(Span<const uint64_t>(
+          b.alice_syndromes.data() + u * stride, stride));
+      lane_sketch[l] = &diff_sketch;
+      lane_out[l] = &b.lanes.positions[l];
+    }
+    PowerSumSketch::DecodeBatchInto(
+        Span<const PowerSumSketch* const>(lane_sketch, blk),
+        Span<std::vector<uint64_t>* const>(lane_out, blk),
+        Span<uint8_t>(lane_ok, blk), b.ws);
+    for (size_t l = 0; l < blk; ++l) {
+      const size_t u = base + l;
+      if (!lane_ok[l]) {
+        b.unit_counts[u] = -1;
+        continue;
+      }
+      const std::vector<uint64_t>& decoded = b.lanes.positions[l];
+      const int count = static_cast<int>(decoded.size());
+      b.unit_counts[u] = count;
+      uint64_t* positions = b.unit_positions.data() + u * stride;
+      uint64_t* xors = b.unit_xors.data() + u * stride;
+      for (int i = 0; i < count; ++i) {
+        const uint64_t pos = decoded[i];
+        positions[i] = pos;
+        xors[i] = lane_pb[l]->xor_sum[pos];
       }
     }
   }
 
-  // Phase 3 (serial): the reply in canonical unit order -- byte-identical
-  // to the serial per-unit writer for any thread count.
+  // Phase 3: the reply in canonical unit order.
   const auto write_start = Clock::now();
   b.timers.decode_seconds += Seconds(decode_start, write_start);
   for (size_t u = 0; u < n_units; ++u) {
@@ -736,6 +628,7 @@ void PbsBob::HandleRoundRequest(const std::vector<uint8_t>& request,
   b.timers.encode_seconds += Seconds(write_start, Clock::now());
 
   reply->assign(w.bytes().begin(), w.bytes().end());
+  return true;
 }
 
 std::vector<uint8_t> PbsBob::MakeStrongDigest() const {

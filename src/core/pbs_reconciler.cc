@@ -65,9 +65,9 @@ class PbsInitiator : public ReconcileInitiator {
       done_ = true;
       return true;
     }
-    const bool finished = alice_.HandleRoundReply(reply);
+    if (!alice_.HandleRoundReply(reply)) return false;
     data_bytes_ += pending_request_bytes_ + reply.size();
-    if (finished) {
+    if (alice_.finished()) {
       if (config_.strong_verification) {
         awaiting_digest_ = true;
       } else {
@@ -153,8 +153,7 @@ class PbsResponder : public ReconcileResponder {
     }
     body_scratch_.resize(r.remaining_bits() / 8);
     if (!r.ReadBytes(body_scratch_.data(), body_scratch_.size())) return false;
-    bob_.HandleRoundRequest(body_scratch_, reply);
-    return true;
+    return bob_.HandleRoundRequest(body_scratch_, reply);
   }
 
   EngineSeconds seconds() const override {

@@ -778,7 +778,7 @@ SessionEngine SessionEngine::Responder(const SessionConfig& local_config,
                                        const SchemeRegistry* registry) {
   SessionEngine engine(local_config.phase_deadline_ms);
   // The HELLO decode overwrites every wire-carried field of the local
-  // config; side-local knobs (decode_threads, keyspace_shards) are never
+  // config; side-local knobs (keyspace_shards, deadlines) are never
   // written by it, so seeding the role with it is all that "honoring
   // local defaults" takes.
   engine.role_ = std::make_unique<Accepting>(ServeContext{

@@ -71,7 +71,7 @@ inline double BitsToDouble(uint64_t bits) {
 std::vector<uint8_t> EncodeHello(const SessionConfig& config);
 
 /// Overwrites every wire-carried field of *config; side-local knobs
-/// (decode_threads, keyspace_shards, deadlines) keep their values. False
+/// (keyspace_shards, deadlines) keep their values. False
 /// on a truncated payload or an out-of-range field.
 bool DecodeHello(const std::vector<uint8_t>& payload, SessionConfig* config);
 

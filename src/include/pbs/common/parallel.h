@@ -1,22 +1,17 @@
 // A small reusable worker pool for data-parallel loops over independent
 // work items.
 //
-// PBS's structural parallelism (Section 2.1: the g groups are hashed
-// independently and their per-group BCH sketches never interact) makes the
-// per-round decode an embarrassingly parallel loop. A ParallelFor owns
-// threads()-1 persistent worker threads (the calling thread is worker 0)
-// and partitions [0, count) over them by atomic work stealing, so a pool
-// created once per endpoint amortizes thread spawn cost over every round.
+// The experiment runner (sim/runner.h) spreads a figure's independent
+// reconciliation instances over one. A ParallelFor owns threads()-1
+// persistent worker threads (the calling thread is worker 0) and
+// partitions [0, count) over them by atomic work stealing. Sessions
+// themselves never spawn threads: a server gets its parallelism from
+// running many connections across its event-loop shards.
 //
-// Ownership rules (see docs/ARCHITECTURE.md, "Hot path & Workspace"):
-//  * The *endpoint* (PbsAlice/PbsBob impl) owns the pool, created lazily
-//    when its config asks for more than one decode thread; kernels never
-//    spawn threads themselves.
-//  * Every mutable per-task state (Workspace, ParityBitmap, sketch
-//    scratch, output slices) must be per-worker or per-item; the body
-//    receives its worker index precisely so callers can index per-worker
-//    scratch. Shared inputs (field tables, hash family, element sets)
-//    must be read-only during Run().
+// Ownership rules:
+//  * Every mutable per-task state must be per-worker or per-item; the
+//    body receives its worker index precisely so callers can index
+//    per-worker scratch. Shared inputs must be read-only during Run().
 //  * Run() is not reentrant and must always be called from the same
 //    (owning) thread; the pool is otherwise content-free between calls.
 

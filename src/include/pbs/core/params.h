@@ -48,16 +48,6 @@ struct PbsConfig {
   /// probability from O(10^-12) to practically zero for constant extra
   /// communication and O(|A| + d) extra hashing.
   bool strong_verification = false;
-  /// Worker threads for the per-group encode/decode loops. The paper's
-  /// groups are hashed and decoded independently (Section 2.1), so the
-  /// per-round BCH decodes parallelize embarrassingly over a small
-  /// reusable pool (common/parallel.h) with one Workspace per worker.
-  /// 1 = serial (default, and the only path exercised by the zero-
-  /// allocation pin); 0 = one worker per hardware thread. A *local*
-  /// performance knob: it never travels in the wire HELLO, each session
-  /// side applies its own setting, and the recovered difference is
-  /// bit-identical for every value (scheme_registry_test pins this).
-  int decode_threads = 1;
   /// Search ranges / calibration for the (n, t) optimizer.
   OptimizerOptions optimizer;
 };

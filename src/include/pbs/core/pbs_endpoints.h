@@ -34,16 +34,13 @@ struct PbsStoreLayout;
 
 /// Cumulative wall-time breakdown of one endpoint (seconds). Encode is
 /// everything that *produces* sketches and wire bytes: Alice's whole
-/// round request (her per-group bin + sketch pipeline -- parallel when
-/// PbsConfig::decode_threads > 1 -- plus serialization) and Bob's wire
-/// staging/serialization. Decode is Bob's per-group bin + sketch +
-/// BCH-decode pipeline, timed as one phase (it runs fused and, with
-/// decode_threads > 1, concurrently across groups, where per-unit CPU
-/// attribution would be meaningless). Both are wall-clock: with a pool,
-/// a phase's entry is its elapsed time, not the summed worker CPU.
+/// round request (her per-group bin + sketch pipeline plus serialization)
+/// and Bob's wire staging/serialization. Decode is Alice's reply handling
+/// and Bob's per-group bin + sketch + BCH-decode pipeline, the latter
+/// timed as one phase because it runs fused in lane blocks of groups.
 struct PbsTimers {
   double encode_seconds = 0.0;  ///< Sketch production + (de)serialization.
-  double decode_seconds = 0.0;  ///< Bob's per-group decode pipeline.
+  double decode_seconds = 0.0;  ///< Decode pipeline / reply handling.
 };
 
 /// The initiating endpoint; learns the set difference.
@@ -65,7 +62,9 @@ class PbsAlice {
   /// (tests/core/hotpath_alloc_test.cc).
   void MakeRoundRequest(std::vector<uint8_t>* out);
 
-  /// Consumes Bob's reply; returns true when every unit has settled.
+  /// Consumes Bob's reply. Returns false on a malformed reply (truncated,
+  /// or a recovered count above t); the endpoint must then be discarded.
+  /// finished() tells whether the round settled every unit.
   bool HandleRoundReply(const std::vector<uint8_t>& reply);
 
   /// True once all units verified their checksums.
@@ -122,7 +121,9 @@ class PbsBob {
 
   /// Writes the reply to one round request into `*reply` (cleared first);
   /// allocation-free in steady state, like PbsAlice::MakeRoundRequest.
-  void HandleRoundRequest(const std::vector<uint8_t>& request,
+  /// Returns false, leaving `*reply` untouched, on a truncated request;
+  /// the endpoint must then be discarded.
+  bool HandleRoundRequest(const std::vector<uint8_t>& request,
                           std::vector<uint8_t>* reply);
 
   /// Strong-verification epilogue: the 192-bit multiset hash of B.

@@ -163,10 +163,9 @@ class SessionEngine {
 
   /// Responder with side-local defaults: fields of `local_config` that
   /// never travel in the HELLO are honored for this side's engines --
-  /// currently options.pbs.decode_threads, the local per-group decode
-  /// parallelism (each peer parallelizes with its own resources; the
-  /// recovered difference is identical either way). Every plan-affecting
-  /// field is still adopted from the peer's HELLO.
+  /// currently keyspace_shards (the local SHARD_PLAN clamp) and
+  /// phase_deadline_ms. Every plan-affecting field is still adopted from
+  /// the peer's HELLO.
   static SessionEngine Responder(const SessionConfig& local_config,
                                  SharedElements elements,
                                  const SchemeRegistry* registry = nullptr);

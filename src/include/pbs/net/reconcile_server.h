@@ -92,13 +92,6 @@ struct ServerOptions {
   /// The store must outlive the server; writers may call Apply() from any
   /// thread concurrently with serving. nullptr = classic immutable set.
   std::shared_ptr<MutableElementStore> mutable_store;
-  /// Per-group decode parallelism handed to every session's responder
-  /// engine (PbsConfig::decode_threads: 1 = serial, 0 = one worker per
-  /// hardware thread). A server-local knob -- it never affects the wire
-  /// bytes or the recovered difference, only how fast a round's g
-  /// independent BCH decodes finish. Note each in-flight session owns its
-  /// own pool, so the thread budget is decode_threads * active sessions.
-  int decode_threads = 1;
   /// Local keyspace-shard cap for sharded sessions (SHARD_PLAN): a
   /// proposal above this is clamped down to it in the SHARD_PLAN_ACK.
   /// 0 = accept whatever the initiator proposes.

@@ -89,7 +89,6 @@ class Shard {
  public:
   struct Options {
     int idle_timeout_ms = 30000;
-    int decode_threads = 1;
     int keyspace_shards = 0;  // Local SHARD_PLAN clamp; 0 = accept any.
     // Per-phase deadline handed to every session engine (SessionConfig::
     // phase_deadline_ms): a session whose peer sends no complete frame

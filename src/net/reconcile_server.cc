@@ -85,7 +85,6 @@ class ReconcileServer::Impl {
 
     Shard::Options shard_options;
     shard_options.idle_timeout_ms = options_.idle_timeout_ms;
-    shard_options.decode_threads = options_.decode_threads;
     shard_options.keyspace_shards = options_.keyspace_shards;
     shard_options.phase_deadline_ms = options_.phase_deadline_ms;
     shard_options.backend = options_.event_backend;

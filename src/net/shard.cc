@@ -140,7 +140,6 @@ void Shard::Adopt(int fd) {
   Slot& s = slots_[slot];
   s.fd = fd;
   SessionConfig local_config;
-  local_config.options.pbs.decode_threads = options_.decode_threads;
   local_config.keyspace_shards = options_.keyspace_shards;
   local_config.phase_deadline_ms = options_.phase_deadline_ms;
   if (store_ != nullptr) {

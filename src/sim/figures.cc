@@ -633,7 +633,8 @@ Tables RunPiecewise(const Scale& scale) {
     for (int round = 1; round <= 4 && !finished; ++round) {
       alice.MakeRoundRequest(&request);
       bob.HandleRoundRequest(request, &reply);
-      finished = alice.HandleRoundReply(reply);
+      alice.HandleRoundReply(reply);
+      finished = alice.finished();
       size_t correct = 0;
       for (uint64_t e : alice.Difference()) correct += truth.count(e);
       // A finished instance keeps its count for the remaining rounds.

@@ -24,12 +24,11 @@
 // flight at once -- shard k+1's request overlaps shard k's decode.
 //
 // Batch model: inbound records are queued as they decode, and the whole
-// batch is processed once per Feed() after the frame loop drained -- in
-// parallel via pbs::ParallelFor when decode_threads allows (each queued
-// record touches a distinct shard) -- then the resulting records are
-// emitted in arrival order, so the recovered difference is identical for
-// every thread count and every byte chunking. Per-shard scheme engines
-// always run with decode_threads = 1: the shard loop owns the parallelism.
+// batch is processed once per Feed() after the frame loop drained, in
+// arrival order. Each record's reply is appended to one outbound batch,
+// so a flush answers every shard that had traffic with a single
+// SUB_SESSION frame, and the recovered difference is identical for every
+// byte chunking.
 //
 // Wire layout: docs/WIRE_FORMAT.md sections 2.5-2.6; design:
 // docs/ARCHITECTURE.md section 7.
@@ -37,7 +36,6 @@
 #include "pbs/sync/sharded_session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -46,7 +44,6 @@
 #include <vector>
 
 #include "core/session_role.h"
-#include "pbs/common/parallel.h"
 #include "pbs/sync/merkle_prefilter.h"
 #include "pbs/sync/shard_planner.h"
 
@@ -106,14 +103,6 @@ std::string ShardError(const char* what, uint32_t shard) {
 // Every per-shard bound lies in [1, kMaxDifferenceEstimate].
 double ClampBound(double d) {
   return std::min(std::max(d, 1.0), kMaxDifferenceEstimate);
-}
-
-// Per-shard engines run serial: the shard loop owns the parallelism.
-std::unique_ptr<SetReconciler> CreateSerial(const SchemeRegistry& registry,
-                                            const std::string& name,
-                                            SchemeOptions options) {
-  options.pbs.decode_threads = 1;
-  return registry.Create(name, options);
 }
 
 // ---------------------------------------------------------------- codecs --
@@ -273,8 +262,7 @@ class ShardedRole : public SessionRole {
         reconciler_(std::move(reconciler)),
         plan_(ShardPlan::Derive(shards, config_.seed)) {}
 
-  // Processes one queued record for `sub`; may run on a ParallelFor worker,
-  // so it touches nothing but `sub` (and the atomic degraded_ count).
+  // Processes one queued record for `sub`.
   virtual void Process(Sub& sub, const SubFrame& frame) = 0;
 
   // The per-shard digest leaves for the current plan (an O(|set|) stream,
@@ -345,29 +333,14 @@ class ShardedRole : public SessionRole {
     return true;
   }
 
-  // Processes every queued record (in parallel across shards when
-  // decode_threads > 1), then in arrival order runs visit(sub) and
-  // appends the shard's pending record to batch_.
+  // In arrival order, processes every queued record, runs visit(sub)
+  // and appends the shard's pending record to batch_.
   template <typename Visit>
   bool Drain(Visit visit, std::string* error) {
-    const size_t n = queue_.size();
-    if (n == 0) return true;
-    if (pool_ == nullptr && n > 1) {
-      const int threads =
-          ParallelFor::ResolveThreads(config_.options.pbs.decode_threads);
-      if (threads > 1) pool_ = std::make_unique<ParallelFor>(threads);
-    }
-    const auto process = [this](size_t i, int /*worker*/) {
-      Process(*Find(queue_[i].shard), queue_[i]);
-    };
-    if (pool_ != nullptr && n > 1) {
-      pool_->Run(n, process);
-    } else {
-      for (size_t i = 0; i < n; ++i) process(i, 0);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      Sub& sub = *Find(queue_[i].shard);
+    for (const SubFrame& record : queue_) {
+      Sub& sub = *Find(record.shard);
       sub.queued = false;
+      Process(sub, record);
       if (!sub.error.empty()) {
         *error = sub.error;
         queue_.clear();
@@ -397,19 +370,17 @@ class ShardedRole : public SessionRole {
   SessionConfig config_;
   SharedElements elements_;
   const SchemeRegistry& registry_;
-  std::unique_ptr<SetReconciler> reconciler_;  // decode_threads forced to 1.
+  std::unique_ptr<SetReconciler> reconciler_;
   ShardPlan plan_;
   std::vector<uint64_t> leaves_;
   bool leaves_valid_ = false;
   std::vector<std::unique_ptr<Sub>> subs_;  // Ascending shard id.
-  // Shards that fell back to an alternate scheme; bumped from Process.
-  std::atomic<int> degraded_{0};
+  int degraded_ = 0;  // Shards that fell back to an alternate scheme.
   std::vector<uint8_t> batch_;  // Outbound records of the current flush.
 
  private:
   std::vector<SubFrame> records_;  // Parse target of the inbound frame.
   std::vector<SubFrame> queue_;
-  std::unique_ptr<ParallelFor> pool_;  // Lazily created; null = serial.
 };
 
 // -------------------------------------------------------------- initiator --
@@ -473,8 +444,7 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
                                             const SessionConfig& config,
                                             SharedElements elements,
                                             const SchemeRegistry& registry) {
-    auto reconciler =
-        CreateSerial(registry, config.scheme_name, config.options);
+    auto reconciler = registry.Create(config.scheme_name, config.options);
     if (reconciler == nullptr) {
       Fail(core, UnknownScheme(config.scheme_name));
       return nullptr;
@@ -612,7 +582,7 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
     remote_root_ = token.remote_root;
     initial_d_ = ClampBound(token.initial_d);
     identical_ = token.identical_shards;
-    degraded_.store(token.degraded, std::memory_order_relaxed);
+    degraded_ = token.degraded;
     std::vector<uint32_t> ids;
     ids.reserve(token.pending.size());
     for (const auto& p : token.pending) ids.push_back(p.shard);
@@ -629,7 +599,7 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
           FallbackSchemeAt(config_.scheme_name, p.degrade_level, registry_);
       sub.degrade_level = p.degrade_level;
       sub.scheme_wire_id = wire::SchemeWireId(name);
-      sub.alt = CreateSerial(registry_, name, config_.options);
+      sub.alt = registry_.Create(name, config_.options);
       if (sub.alt == nullptr || sub.scheme_wire_id == 0) {
         *error = "resume token names an unavailable fallback scheme";
         return false;
@@ -778,10 +748,10 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
     const std::string name =
         FallbackSchemeAt(config_.scheme_name, sub.degrade_level + 1, registry_);
     if (name.empty()) return false;
-    auto alt = CreateSerial(registry_, name, config_.options);
+    auto alt = registry_.Create(name, config_.options);
     if (alt == nullptr) return false;
     if (sub.degrade_level == 0) {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
+      ++degraded_;
     }
     ++sub.degrade_level;
     sub.alt = std::move(alt);
@@ -862,7 +832,7 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
     SessionResult& result = Result(core);
     result.outcome = Outcome();
     result.outcome.estimator_bytes += estimator_bytes_;
-    result.degraded_shards = degraded_.load(std::memory_order_relaxed);
+    result.degraded_shards = degraded_;
     result.d_hat = total_d_hat();
     SendDone(core, ++exchange_);
     state_ = State::kAwaitDoneAck;
@@ -887,7 +857,7 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
     token->remote_root = remote_root_;
     token->initial_d = initial_d_;
     token->identical_shards = identical_;
-    token->degraded = degraded_.load(std::memory_order_relaxed);
+    token->degraded = degraded_;
     for (const auto& subp : subs_) {
       const InitiatorSub& sub = *subp;
       token->retries += sub.retries();
@@ -955,7 +925,7 @@ class ShardedInitiator final : public ShardedRole<InitiatorSub> {
     out.params_summary = summary;
     // Appended only when they happened, so clean sessions keep the classic
     // summary (and the pr9 byte-exact bench gate) untouched.
-    const int degraded = degraded_.load(std::memory_order_relaxed);
+    const int degraded = degraded_;
     if (degraded > 0) {
       out.params_summary += " degraded=" + std::to_string(degraded);
     }
@@ -1040,7 +1010,7 @@ class ShardedResponder final : public ShardedRole<ResponderSub> {
     }
     SetScheme(core, config.scheme_name);
     auto reconciler =
-        CreateSerial(*serve.registry, config.scheme_name, config.options);
+        serve.registry->Create(config.scheme_name, config.options);
     if (reconciler == nullptr) {
       Reject(core, UnknownScheme(config.scheme_name));
       return nullptr;
@@ -1104,7 +1074,7 @@ class ShardedResponder final : public ShardedRole<ResponderSub> {
       }
       case FrameType::kDone:
         ServeDone(core, frame, d_hat_,
-                  degraded_.load(std::memory_order_relaxed));
+                  degraded_);
         return;
       default:
         Reject(core, "unexpected frame");
@@ -1229,9 +1199,8 @@ class ShardedResponder final : public ShardedRole<ResponderSub> {
           if (degraded) {
             const uint8_t wire_id = frame.payload[1];
             if (sub.alt == nullptr || sub.alt_wire_id != wire_id) {
-              auto alt = CreateSerial(registry_,
-                                      wire::SchemeNameFromWireId(wire_id),
-                                      config_.options);
+              auto alt = registry_.Create(
+                  wire::SchemeNameFromWireId(wire_id), config_.options);
               if (alt == nullptr) {
                 sub.error = ShardError(
                     "sub-session names an unavailable fallback scheme",
@@ -1239,7 +1208,7 @@ class ShardedResponder final : public ShardedRole<ResponderSub> {
                 return;
               }
               if (sub.alt_wire_id == 0) {
-                degraded_.fetch_add(1, std::memory_order_relaxed);
+                ++degraded_;
               }
               sub.alt = std::move(alt);
               sub.alt_wire_id = wire_id;

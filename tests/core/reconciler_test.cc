@@ -138,8 +138,9 @@ TEST(Reconciler, DataBytesMatchEndpointPayloads) {
   bool finished = false;
   while (!finished && alice.round() < config.max_rounds) {
     alice.MakeRoundRequest(&request);
-    bob.HandleRoundRequest(request, &reply);
-    finished = alice.HandleRoundReply(reply);
+    ASSERT_TRUE(bob.HandleRoundRequest(request, &reply));
+    ASSERT_TRUE(alice.HandleRoundReply(reply));
+    finished = alice.finished();
     bytes += request.size() + reply.size();
   }
   EXPECT_EQ(result.success, finished);

@@ -44,7 +44,8 @@ TEST_P(MessageCorruption, CorruptedRoundReplyNeverFalselySucceeds) {
     std::vector<uint8_t> request, reply;
     alice.MakeRoundRequest(&request);
     bob.HandleRoundRequest(request, &reply);
-    finished = alice.HandleRoundReply(Corrupt(std::move(reply), &rng));
+    if (!alice.HandleRoundReply(Corrupt(std::move(reply), &rng))) break;
+    finished = alice.finished();
   }
   if (finished) {
     // Success claims survive corruption only if the recovered difference is

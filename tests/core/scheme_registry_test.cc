@@ -116,6 +116,75 @@ TEST_P(SchemeConformance, OutOfRangeEstimateFailsWithReason) {
   }
 }
 
+// Pumps the session to its end. False when either side rejects a message
+// or the session does not settle; otherwise `*outcome` is the result.
+bool PumpToEnd(ReconcileInitiator& initiator, ReconcileResponder& responder,
+               ReconcileOutcome* outcome) {
+  std::vector<uint8_t> request, reply;
+  for (int exchange = 0; exchange < 64 && !initiator.done(); ++exchange) {
+    initiator.NextRequestInto(&request);
+    if (!responder.HandleRequest(request, &reply)) return false;
+    if (!initiator.HandleReply(reply)) return false;
+  }
+  if (!initiator.done()) return false;
+  *outcome = initiator.TakeOutcome();
+  return true;
+}
+
+// Fail-closed on truncation: a strict prefix of a real round-1 reply (fed
+// to the initiator) or request (fed to the responder) is either rejected
+// or leads to an outcome that is not a success with a wrong difference.
+// A = {} makes every unit's checksum 0, the value a reply read past its
+// end produces.
+TEST_P(SchemeConformance, TruncatedMessagesNeverYieldAWrongSuccess) {
+  const std::string name = GetParam();
+  const auto scheme =
+      SchemeRegistry::Instance().Create(name, SchemeOptions{});
+  ASSERT_NE(scheme, nullptr);
+  const SetPair pair = GenerateTwoSidedPair(0, 0, 20, 32, 0x7A11);
+  ASSERT_TRUE(pair.a.empty());
+  const std::vector<uint64_t> truth = Sorted(pair.truth_diff);
+  const double d_hat = 20.0;
+  const uint64_t seed = 0x5EED;
+  const auto expect_no_wrong_success = [&](ReconcileInitiator& initiator,
+                                           ReconcileResponder& responder,
+                                           const std::string& what) {
+    ReconcileOutcome outcome;
+    if (!PumpToEnd(initiator, responder, &outcome) || !outcome.success) {
+      return;
+    }
+    EXPECT_EQ(Sorted(outcome.difference), truth) << name << ": " << what;
+  };
+
+  std::vector<uint8_t> request, reply;
+  scheme->CreateInitiator(pair.a, d_hat, seed)->NextRequestInto(&request);
+  ASSERT_TRUE(scheme->CreateResponder(pair.b, d_hat, seed)
+                  ->HandleRequest(request, &reply));
+
+  for (size_t len = 0; len < reply.size(); ++len) {
+    const std::vector<uint8_t> prefix(reply.begin(), reply.begin() + len);
+    auto initiator = scheme->CreateInitiator(pair.a, d_hat, seed);
+    std::vector<uint8_t> unused;
+    initiator->NextRequestInto(&unused);
+    if (!initiator->HandleReply(prefix)) continue;
+    auto responder = scheme->CreateResponder(pair.b, d_hat, seed);
+    ASSERT_TRUE(responder->HandleRequest(request, &unused));
+    expect_no_wrong_success(*initiator, *responder,
+                            std::to_string(len) + "-byte reply prefix");
+  }
+  for (size_t len = 0; len < request.size(); ++len) {
+    const std::vector<uint8_t> prefix(request.begin(), request.begin() + len);
+    auto initiator = scheme->CreateInitiator(pair.a, d_hat, seed);
+    auto responder = scheme->CreateResponder(pair.b, d_hat, seed);
+    std::vector<uint8_t> unused, prefix_reply;
+    initiator->NextRequestInto(&unused);
+    if (!responder->HandleRequest(prefix, &prefix_reply)) continue;
+    if (!initiator->HandleReply(prefix_reply)) continue;
+    expect_no_wrong_success(*initiator, *responder,
+                            std::to_string(len) + "-byte request prefix");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeConformance,
     ::testing::ValuesIn(SchemeRegistry::Instance().Names()),
@@ -126,42 +195,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n;
     });
-
-// PbsConfig::decode_threads is a local performance knob: for any thread
-// count the recovered difference, byte accounting, and round trajectory
-// must be identical to the serial run (the per-group parallel decode
-// stages results per unit and serializes them in canonical order). This
-// is the single- vs multi-threaded outcome-parity pin of the per-group
-// pool -- and, run under TSan (CI), its race detector.
-TEST(SchemeAdapterParity, PbsDecodeThreadsDoesNotChangeOutcome) {
-  // Two shapes: subset difference and two-sided difference (the general
-  // recovery path with elements on both sides).
-  const SetPair shapes[] = {GenerateSetPair(3000, 40, 32, 0x7EAD),
-                            GenerateTwoSidedPair(2000, 25, 35, 32, 0x51DE)};
-  auto& registry = SchemeRegistry::Instance();
-  for (const SetPair& pair : shapes) {
-    const double d_hat = static_cast<double>(pair.truth_diff.size()) + 1.3;
-    const uint64_t seed = 0xDEC0DE;
-    SchemeOptions serial;
-    serial.pbs.decode_threads = 1;
-    const ReconcileOutcome reference =
-        registry.Create("pbs", serial)->Reconcile(pair.a, pair.b, d_hat,
-                                                  seed);
-    ASSERT_TRUE(reference.success);
-    EXPECT_EQ(Sorted(reference.difference), Sorted(pair.truth_diff));
-    for (int threads : {2, 4, 0}) {  // 0 = one worker per hardware thread.
-      SchemeOptions mt = serial;
-      mt.pbs.decode_threads = threads;
-      const ReconcileOutcome parallel =
-          registry.Create("pbs", mt)->Reconcile(pair.a, pair.b, d_hat, seed);
-      EXPECT_EQ(parallel.success, reference.success) << threads;
-      EXPECT_EQ(parallel.data_bytes, reference.data_bytes) << threads;
-      EXPECT_EQ(parallel.rounds, reference.rounds) << threads;
-      EXPECT_EQ(Sorted(parallel.difference), Sorted(reference.difference))
-          << threads;
-    }
-  }
-}
 
 // Appendix J.3 accounting through the interface: wide-signature reporting
 // must add (report_sig_bits - sig_bits)/8 bytes per signature-width field

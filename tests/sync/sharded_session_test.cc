@@ -1,8 +1,8 @@
 // Sharded session differential suite: the load-bearing guarantee is that
 // a sharded session recovers EXACTLY the monolithic difference -- for
-// every registered scheme, every shard count, every decode thread count,
-// every pipeline depth, and every byte chunking. On top of that: the
-// identical-set fast path settles in four frames without shipping leaves,
+// every registered scheme, every shard count, every pipeline depth, and
+// every byte chunking. On top of that: the identical-set fast path
+// settles in four frames without shipping leaves,
 // responder-side shard-count clamping works, the exact_d path skips the
 // per-shard estimate exchange, and a mutable store's incrementally
 // maintained shard checksums are adopted (and a mismatched configuration
@@ -69,9 +69,9 @@ SessionConfig BaseConfig(const std::string& scheme) {
   return config;
 }
 
-// The acceptance-pinned differential: for every scheme x shard count x
-// decode thread count, the sorted sharded difference equals the sorted
-// monolithic difference equals the ground truth.
+// The acceptance-pinned differential: for every scheme x shard count, the
+// sorted sharded difference equals the sorted monolithic difference equals
+// the ground truth.
 TEST(ShardedSession, DifferenceMatchesMonolithicForEveryScheme) {
   const SetPair pair = GenerateTwoSidedPair(1500, 20, 25, 32, 0xC4A);
   const std::vector<uint64_t> truth = Sorted(pair.truth_diff);
@@ -83,20 +83,15 @@ TEST(ShardedSession, DifferenceMatchesMonolithicForEveryScheme) {
     EXPECT_EQ(Sorted(reference.outcome.difference), truth);
 
     for (int shards : {2, 7, 16}) {
-      for (int threads : {1, 3}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads));
-        SessionConfig config = BaseConfig(name);
-        config.keyspace_shards = shards;
-        config.options.pbs.decode_threads = threads;
-        const SessionResult result = RunLoopbackSession(config, pair.a,
-                                                        pair.b);
-        ASSERT_TRUE(result.ok) << result.error;
-        EXPECT_TRUE(result.outcome.success);
-        EXPECT_EQ(Sorted(result.outcome.difference), truth);
-        EXPECT_EQ(result.scheme, name);
-        EXPECT_GT(result.d_hat, 0.0);
-      }
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      SessionConfig config = BaseConfig(name);
+      config.keyspace_shards = shards;
+      const SessionResult result = RunLoopbackSession(config, pair.a, pair.b);
+      ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_TRUE(result.outcome.success);
+      EXPECT_EQ(Sorted(result.outcome.difference), truth);
+      EXPECT_EQ(result.scheme, name);
+      EXPECT_GT(result.d_hat, 0.0);
     }
   }
 }

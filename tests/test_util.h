@@ -33,8 +33,8 @@ inline ReconcileOutcome ReconcileSized(const char* scheme, const SetPair& pair,
 inline bool PbsRound(PbsAlice* alice, PbsBob* bob) {
   std::vector<uint8_t> request, reply;
   alice->MakeRoundRequest(&request);
-  bob->HandleRoundRequest(request, &reply);
-  return alice->HandleRoundReply(reply);
+  return bob->HandleRoundRequest(request, &reply) &&
+         alice->HandleRoundReply(reply) && alice->finished();
 }
 
 }  // namespace pbs

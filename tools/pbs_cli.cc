@@ -10,22 +10,20 @@
 //   pbs_cli estimate <fileA> <fileB>
 //       ToW estimate of |A triangle B| (ell = 128).
 //   pbs_cli diff <fileA> <fileB> [--scheme S] [--rounds N] [--p0 X]
-//           [--delta N] [--threads N]
+//           [--delta N]
 //       Reconcile with scheme S (default pbs; see --list-schemes); print
-//       the symmetric difference and stats. --threads sets the per-group
-//       decode parallelism (PBS; 0 = all hardware threads).
+//       the symmetric difference and stats.
 //   pbs_cli plan <d> [--p0 X] [--rounds N] [--delta N]
 //       Show the (g, n, t) parameterization the Section-5.1 optimizer
 //       picks for an expected difference of d.
 //   pbs_cli serve <file> [--port N] [--once] [--max-sessions N] [--stats]
-//           [--threads N] [--shards N] [--mutable] [--layout-d D]
+//           [--shards N] [--mutable] [--layout-d D]
 //           [--shards-keyspace S] [--phase-deadline MS]
 //       Hold a key set and serve framed reconciliation sessions over TCP
 //       from N event-loop shards (any scheme; the client picks; many
 //       clients concurrently). --once exits after one session;
 //       --max-sessions caps concurrent sessions (default 64); --stats
-//       prints the server's counters on exit; --threads sets each
-//       session's per-group decode parallelism; --shards sets the
+//       prints the server's counters on exit; --shards sets the
 //       event-loop thread count (default 1, 0 = all hardware threads).
 //       --mutable serves the set from a live MutableElementStore: each
 //       session pins one consistent snapshot epoch, `pbs_cli update`
@@ -44,8 +42,8 @@
 //       chunks of N per direction (default: one batch).
 //   pbs_cli connect <file> --host H --port N [--scheme S] [--rounds N]
 //           [--p0 X] [--delta N] [--seed N] [--exact-d D] [--quiet]
-//           [--threads N] [--shards-keyspace S] [--retries N]
-//           [--retry-base-ms MS] [--deadline MS] [--fault SPEC]
+//           [--shards-keyspace S] [--retries N] [--retry-base-ms MS]
+//           [--deadline MS] [--fault SPEC]
 //       Reconcile the local file against a remote serve instance and
 //       print the symmetric difference (relative to the local set).
 //       --shards-keyspace S runs the session sharded: the keyspace is
@@ -61,6 +59,9 @@
 //       (common/fault_injector.h lists the keys).
 //   pbs_cli list-schemes   (also: pbs_cli --list-schemes)
 //       List every scheme registered with the SchemeRegistry.
+//
+// A flag a subcommand does not define is an error (exit 2), so a typo
+// never silently falls back to a default.
 
 #include <algorithm>
 #include <cinttypes>
@@ -68,6 +69,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -84,28 +86,7 @@
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  pbs_cli gen <file> <count> [--seed N]\n"
-      "  pbs_cli mutate <in> <out> --drop N --add N [--seed N]\n"
-      "  pbs_cli estimate <fileA> <fileB>\n"
-      "  pbs_cli diff <fileA> <fileB> [--scheme S] [--rounds N] [--p0 X]\n"
-      "          [--delta N] [--threads N]\n"
-      "  pbs_cli plan <d> [--p0 X] [--rounds N] [--delta N]\n"
-      "  pbs_cli serve <file> [--port N] [--once] [--max-sessions N]\n"
-      "          [--stats] [--threads N] [--shards N] [--mutable]\n"
-      "          [--layout-d D] [--shards-keyspace S] [--phase-deadline MS]\n"
-      "  pbs_cli update --host H --port N [--insert <file>]\n"
-      "          [--delete <file>] [--batch N]\n"
-      "  pbs_cli connect <file> --host H --port N [--scheme S] [--rounds N]\n"
-      "          [--p0 X] [--delta N] [--seed N] [--exact-d D] [--quiet]\n"
-      "          [--threads N] [--shards-keyspace S] [--retries N]\n"
-      "          [--retry-base-ms MS] [--deadline MS] [--fault SPEC]\n"
-      "  pbs_cli list-schemes\n");
-  return 2;
-}
+int Usage();  // Prints every subcommand's synopsis; returns 2.
 
 uint64_t FlagU64(int argc, char** argv, const char* flag, uint64_t def) {
   for (int i = 0; i + 1 < argc; ++i) {
@@ -229,7 +210,7 @@ int CmdEstimate(int argc, char** argv) {
   return 0;
 }
 
-int CmdListSchemes() {
+int CmdListSchemes(int /*argc*/, char** /*argv*/) {
   const auto& registry = pbs::SchemeRegistry::Instance();
   const pbs::SchemeOptions options;
   std::printf("%-14s %-14s %7s %9s\n", "name", "display", "rounds",
@@ -254,8 +235,6 @@ int CmdDiff(int argc, char** argv) {
   options.pbs.target_rounds = options.pbs.max_rounds;
   options.pbs.p0 = FlagDouble(argc, argv, "--p0", 0.99);
   options.pbs.delta = static_cast<int>(FlagU64(argc, argv, "--delta", 5));
-  options.pbs.decode_threads =
-      static_cast<int>(FlagU64(argc, argv, "--threads", 1));
   options.pbs.strong_verification = true;
 
   const char* scheme_name = FlagStr(argc, argv, "--scheme", "pbs");
@@ -313,8 +292,6 @@ int CmdServe(int argc, char** argv) {
       static_cast<int>(FlagU64(argc, argv, "--max-sessions", 64));
   options.idle_timeout_ms = 30000;
   options.serve_limit = once ? 1 : 0;
-  options.decode_threads =
-      static_cast<int>(FlagU64(argc, argv, "--threads", 1));
   options.keyspace_shards =
       static_cast<int>(FlagU64(argc, argv, "--shards-keyspace", 0));
   options.phase_deadline_ms =
@@ -482,8 +459,6 @@ int CmdConnect(int argc, char** argv) {
   config.options.pbs.p0 = FlagDouble(argc, argv, "--p0", 0.99);
   config.options.pbs.delta =
       static_cast<int>(FlagU64(argc, argv, "--delta", 5));
-  config.options.pbs.decode_threads =
-      static_cast<int>(FlagU64(argc, argv, "--threads", 1));
   config.options.pbs.strong_verification = true;
   config.seed = FlagU64(argc, argv, "--seed", 0xC11);
   config.estimate_seed = config.seed ^ 0xE57A11CE;
@@ -605,21 +580,96 @@ int CmdPlan(int argc, char** argv) {
   return 0;
 }
 
+// Each subcommand's synopsis (everything after its name) is also its flag
+// list: "--name" followed by a placeholder (N, X, <file>, ...) takes a
+// value, and a bracketed "[--name]" stands alone. Parsing the one text
+// keeps the help and the accepted flags in step.
+struct Command {
+  const char* name;
+  const char* synopsis;
+  int (*run)(int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"gen", "<file> <count> [--seed N]", CmdGen},
+    {"mutate", "<in> <out> --drop N --add N [--seed N]", CmdMutate},
+    {"estimate", "<fileA> <fileB>", CmdEstimate},
+    {"diff",
+     "<fileA> <fileB> [--scheme S] [--rounds N] [--p0 X]\n"
+     "          [--delta N]",
+     CmdDiff},
+    {"plan", "<d> [--p0 X] [--rounds N] [--delta N]", CmdPlan},
+    {"serve",
+     "<file> [--port N] [--once] [--max-sessions N]\n"
+     "          [--stats] [--shards N] [--mutable] [--layout-d D]\n"
+     "          [--shards-keyspace S] [--phase-deadline MS]",
+     CmdServe},
+    {"update",
+     "--host H --port N [--insert <file>]\n"
+     "          [--delete <file>] [--batch N]",
+     CmdUpdate},
+    {"connect",
+     "<file> --host H --port N [--scheme S] [--rounds N]\n"
+     "          [--p0 X] [--delta N] [--seed N] [--exact-d D] [--quiet]\n"
+     "          [--shards-keyspace S] [--retries N]\n"
+     "          [--retry-base-ms MS] [--deadline MS] [--fault SPEC]",
+     CmdConnect},
+    {"list-schemes", "", CmdListSchemes},
+};
+
+int Usage() {
+  std::fprintf(stderr, "usage:\n");
+  for (const Command& command : kCommands) {
+    std::fprintf(stderr, "  pbs_cli %s %s\n", command.name, command.synopsis);
+  }
+  return 2;
+}
+
+// The first "--" argument `command` does not define, or null. The value
+// after a flag that takes one is skipped.
+const char* UnknownFlag(const Command& command, int argc, char** argv) {
+  std::vector<std::string> value_flags, bare_flags;
+  std::istringstream synopsis(command.synopsis);
+  std::string token;
+  while (synopsis >> token) {
+    const size_t start = token[0] == '[' ? 1 : 0;
+    if (token.compare(start, 2, "--") != 0) continue;
+    if (token.back() == ']') {
+      bare_flags.push_back(token.substr(start, token.size() - start - 1));
+    } else {
+      value_flags.push_back(token.substr(start));
+    }
+  }
+  const auto defined = [](const std::vector<std::string>& flags,
+                          const char* arg) {
+    return std::find(flags.begin(), flags.end(), arg) != flags.end();
+  };
+  for (int i = 0; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    if (defined(value_flags, argv[i])) {
+      ++i;
+    } else if (!defined(bare_flags, argv[i])) {
+      return argv[i];
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  if (cmd == "gen") return CmdGen(argc - 2, argv + 2);
-  if (cmd == "mutate") return CmdMutate(argc - 2, argv + 2);
-  if (cmd == "estimate") return CmdEstimate(argc - 2, argv + 2);
-  if (cmd == "diff") return CmdDiff(argc - 2, argv + 2);
-  if (cmd == "plan") return CmdPlan(argc - 2, argv + 2);
-  if (cmd == "serve") return CmdServe(argc - 2, argv + 2);
-  if (cmd == "connect") return CmdConnect(argc - 2, argv + 2);
-  if (cmd == "update") return CmdUpdate(argc - 2, argv + 2);
-  if (cmd == "list-schemes" || cmd == "--list-schemes") {
-    return CmdListSchemes();
+  std::string name = argv[1];
+  if (name == "--list-schemes") name = "list-schemes";
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    if (const char* flag = UnknownFlag(command, argc - 2, argv + 2)) {
+      std::fprintf(stderr,
+                   "pbs_cli %s: unknown flag %s\nusage: pbs_cli %s %s\n",
+                   command.name, flag, command.name, command.synopsis);
+      return 2;
+    }
+    return command.run(argc - 2, argv + 2);
   }
   return Usage();
 }
